@@ -2,10 +2,10 @@
 """Perf-regression gate for the batched serving hot path.
 
 Runs the fbcload loopback benchmark in interleaved pairs -- the legacy
-baseline stack (reference engine, serial admission, unsharded lease
-table, no fetch coalescing, unbuffered wire loop) against the batched
-stack (incremental engine, batched admission, sharded leases, coalesced
-fetches, buffered frame reader) -- and fails when:
+baseline stack (reference engine, serial admission, no fetch coalescing,
+unbuffered wire loop) against the batched stack (incremental engine,
+batched admission, coalesced fetches, buffered frame reader) -- and
+fails when:
 
   * any run drops or fails a request (ok != requests or failed != 0);
   * the batched stack's best-of-N throughput falls below --ratio-floor
@@ -32,7 +32,6 @@ import sys
 BASELINE_FLAGS = [
     "--engine=reference",
     "--admission-batch=1",
-    "--lease-shards=1",
     "--no-coalesce",
     "--legacy-wire",
     "--no-pipeline",

@@ -7,9 +7,9 @@
 //
 // Lives in namespace fbc::cluster -- fbc::ClusterConfig (grid/cluster.hpp)
 // is the *simulation*-level multi-site model; this one configures the
-// live serving cluster. fbclint L003 checks this field list against the
-// flag surface in tools/serving_common.hpp (add_cluster_options /
-// cluster_config_from_cli).
+// live serving cluster. Every field is a flag through the row list
+// kClusterFlags in tools/serving_common.hpp, whose arity check fails the
+// build when a field here has no row.
 #pragma once
 
 #include <cstdint>

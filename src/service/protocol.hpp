@@ -17,6 +17,7 @@
 // switches in protocol.cpp; fbclint's L003 rule checks that completeness.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -28,6 +29,7 @@
 #include "cache/types.hpp"
 #include "obs/counter.hpp"
 #include "obs/histogram.hpp"
+#include "util/member_count.hpp"
 
 namespace fbc::service {
 
@@ -69,8 +71,8 @@ enum class AcquireStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(MsgType type) noexcept;
 [[nodiscard]] const char* to_string(AcquireStatus status) noexcept;
 
-/// Server counters reported by a stats snapshot. Field order is the wire
-/// order; every field is encoded as a u64.
+/// Server counters reported by a stats snapshot. Every field is a u64 and
+/// has one row in kServiceStatsFields below, whose order is the wire order.
 struct ServiceStats {
   std::uint64_t requests = 0;        ///< acquire calls accepted for service
   std::uint64_t request_hits = 0;    ///< whole bundle already resident
@@ -94,6 +96,39 @@ struct ServiceStats {
 
   bool operator==(const ServiceStats&) const = default;
 };
+
+/// One ServiceStats counter: its name (the fbcctl row label) and member.
+struct StatsField {
+  const char* name;
+  std::uint64_t ServiceStats::*member;
+  bool bytes;  ///< a byte count, shown with a unit
+};
+
+/// The field list of ServiceStats, in wire order. The StatsReply codec,
+/// cluster::merge_stats and the fbcctl stats rows all walk it.
+inline constexpr auto kServiceStatsFields = std::to_array<StatsField>({
+    {"requests", &ServiceStats::requests, false},
+    {"request_hits", &ServiceStats::request_hits, false},
+    {"rejected_full", &ServiceStats::rejected_full, false},
+    {"timed_out", &ServiceStats::timed_out, false},
+    {"unserviceable", &ServiceStats::unserviceable, false},
+    {"invalid", &ServiceStats::invalid, false},
+    {"transfer_retries", &ServiceStats::transfer_retries, false},
+    {"transfer_failures", &ServiceStats::transfer_failures, false},
+    {"leases_granted", &ServiceStats::leases_granted, false},
+    {"leases_released", &ServiceStats::leases_released, false},
+    {"active_leases", &ServiceStats::active_leases, false},
+    {"queue_depth", &ServiceStats::queue_depth, false},
+    {"evictions", &ServiceStats::evictions, false},
+    {"bytes_requested", &ServiceStats::bytes_requested, true},
+    {"bytes_missed", &ServiceStats::bytes_missed, true},
+    {"bytes_evicted", &ServiceStats::bytes_evicted, true},
+    {"used_bytes", &ServiceStats::used_bytes, true},
+    {"capacity_bytes", &ServiceStats::capacity_bytes, true},
+    {"resident_files", &ServiceStats::resident_files, false},
+});
+static_assert(member_count<ServiceStats>() == kServiceStatsFields.size(),
+              "every ServiceStats member needs a kServiceStatsFields row");
 
 /// One exported histogram, keyed by a stable metric name
 /// ("acquire.queue_us", "acquire.total_us", ...).

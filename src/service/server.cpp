@@ -41,15 +41,17 @@ AdmitOrder parse_admit_order(const std::string& name) {
                               "' (expected fifo|value)");
 }
 
+const char* to_string(AdmitOrder order) noexcept {
+  return order == AdmitOrder::Fifo ? "fifo" : "value";
+}
+
 BundleServer::BundleServer(const ServiceConfig& config,
                            const StorageBackend& mss)
     : config_(config),
       mss_(&mss),
       transfers_{.max_parallel = config.transfer_streams},
       cache_(config.cache_bytes, mss.catalog()),
-      leases_(config.lease_shards),
       fail_rng_(config.seed ^ 0xf3f3f3f3f3f3f3f3ULL),
-      spans_(config.span_capacity),
       acquire_ok_slot_(counters_.slot("acquire.ok")),
       release_ok_slot_(counters_.slot("release.ok")),
       release_unknown_slot_(counters_.slot("release.unknown")),
@@ -126,12 +128,11 @@ bool BundleServer::fits_locked(const Request& request) const {
 
 LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
                                    bool* request_hit, double* stage_s,
-                                   std::vector<FileId>* fetched,
-                                   Bytes* missing_bytes) {
+                                   std::vector<FileId>* fetched) {
   policy_->on_job_arrival(request, cache_);
   std::vector<FileId> missing = cache_.missing_files(request);
-  *missing_bytes = mss_->catalog().bundle_bytes(missing);
-  metrics_.record_job(bundle_bytes, *missing_bytes, request.size(),
+  const Bytes missing_bytes = mss_->catalog().bundle_bytes(missing);
+  metrics_.record_job(bundle_bytes, missing_bytes, request.size(),
                       request.size() - missing.size());
   *stage_s = 0.0;
   if (missing.empty()) {
@@ -139,14 +140,14 @@ LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
     policy_->on_request_hit(request, cache_);
   } else {
     *request_hit = false;
-    if (cache_.free_bytes() < *missing_bytes) {
-      const Bytes needed = *missing_bytes - cache_.free_bytes();
+    if (cache_.free_bytes() < missing_bytes) {
+      const Bytes needed = missing_bytes - cache_.free_bytes();
       for (FileId victim : policy_->select_victims(request, needed, cache_)) {
         metrics_.record_eviction(mss_->catalog().size_of(victim));
         cache_.evict(victim);  // throws on a leased (pinned) file
         policy_->on_file_evicted(victim);
       }
-      if (cache_.free_bytes() < *missing_bytes)
+      if (cache_.free_bytes() < missing_bytes)
         throw std::runtime_error(
             "BundleServer: policy freed insufficient space");
     }
@@ -160,8 +161,7 @@ LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
     // only order that ever occurs.
     if (config_.coalesce) coalescer_.begin_fetch(missing);
   }
-  const LeaseId lease = leases_.grant(request);
-  for (FileId id : request.files) cache_.pin(id);
+  const LeaseId lease = leases_.grant(request, cache_);
   *fetched = std::move(missing);
   return lease;
 }
@@ -193,8 +193,7 @@ std::size_t BundleServer::drain_locked() {
     metrics_.record_queue_wait(
         static_cast<double>(admissions_ - head.admissions_at_enqueue));
     head.lease = admit_locked(*head.request, head.bundle_bytes,
-                              &head.request_hit, &head.stage_s, &head.fetched,
-                              &head.missing_bytes);
+                              &head.request_hit, &head.stage_s, &head.fetched);
     ++admissions_;
     head.t_reserved = Clock::now();
     grant_times_.emplace(head.lease, head.t_reserved);
@@ -211,10 +210,6 @@ std::size_t BundleServer::drain_locked() {
 
 AcquireResult BundleServer::acquire(const Request& request) {
   const auto t0 = Clock::now();
-  obs::ServingSpan span;
-  span.request_id = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  span.files = static_cast<std::uint32_t>(request.size());
-
   AcquireResult result;
   const FileCatalog& catalog = mss_->catalog();
   const bool valid =
@@ -225,24 +220,20 @@ AcquireResult BundleServer::acquire(const Request& request) {
   std::unique_lock<OrderedMutex> lock(mu_);
   if (closed_) {
     result.status = AcquireStatus::Closed;
-    span.total_us = us_between(t0, Clock::now());
-    finish_span(span, result.status, "acquire.closed");
+    count_outcome("acquire.closed");
     return result;
   }
   if (!valid) {
     ++invalid_;
     result.status = AcquireStatus::InvalidRequest;
-    span.total_us = us_between(t0, Clock::now());
-    finish_span(span, result.status, "acquire.invalid");
+    count_outcome("acquire.invalid");
     return result;
   }
   const Bytes bundle_bytes = catalog.request_bytes(request);
-  span.bundle_bytes = bundle_bytes;
   if (bundle_bytes > cache_.capacity()) {
     metrics_.record_unserviceable();
     result.status = AcquireStatus::Unserviceable;
-    span.total_us = us_between(t0, Clock::now());
-    finish_span(span, result.status, "acquire.unserviceable");
+    count_outcome("acquire.unserviceable");
     return result;
   }
   if (queue_.size() >= config_.max_queue) {
@@ -260,12 +251,10 @@ AcquireResult BundleServer::acquire(const Request& request) {
             ? std::numeric_limits<std::uint32_t>::max()
             : config_.retry_after_cap_ms;
     result.retry_after_ms = static_cast<std::uint32_t>(std::min(hint, cap));
-    span.queue_depth = static_cast<std::uint32_t>(queue_.size());
-    span.total_us = us_between(t0, Clock::now());
-    finish_span(span, result.status, "acquire.queue_full");
+    count_outcome("acquire.queue_full");
     return result;
   }
-  span.queue_depth = static_cast<std::uint32_t>(queue_.size());
+  const std::size_t queue_depth = queue_.size();
 
   Waiter waiter;
   waiter.request = &request;
@@ -289,9 +278,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
     if (closed_) {
       leave_queue();
       result.status = AcquireStatus::Closed;
-      span.queue_us = us_between(t0, Clock::now());
-      span.total_us = span.queue_us;
-      finish_span(span, result.status, "acquire.closed");
+      count_outcome("acquire.closed");
       return result;
     }
     if (waiter.state == Waiter::State::Backoff) {
@@ -301,9 +288,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
         leave_queue();
         result.status = AcquireStatus::TransferFailed;
         result.retries = waiter.failed_attempts - 1;
-        span.queue_us = us_between(t0, Clock::now());
-        span.total_us = span.queue_us;
-        finish_span(span, result.status, "acquire.transfer_failed");
+        count_outcome("acquire.transfer_failed");
         return result;
       }
       ++transfer_retries_;
@@ -327,9 +312,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
       ++timed_out_;
       result.status = AcquireStatus::TimedOut;
       result.retries = waiter.failed_attempts;
-      span.queue_us = us_between(t0, Clock::now());
-      span.total_us = span.queue_us;
-      finish_span(span, result.status, "acquire.timed_out");
+      count_outcome("acquire.timed_out");
       return result;
     }
   }
@@ -337,7 +320,6 @@ AcquireResult BundleServer::acquire(const Request& request) {
   result.lease = waiter.lease;
   result.request_hit = waiter.request_hit;
   result.retries = waiter.failed_attempts;
-  span.missing_bytes = waiter.missing_bytes;
   const double stage_s = waiter.stage_s;
   const std::vector<FileId> fetched = std::move(waiter.fetched);
   const auto t_admit = waiter.t_admit;
@@ -363,45 +345,33 @@ AcquireResult BundleServer::acquire(const Request& request) {
   result.status = AcquireStatus::Ok;
 
   const auto t_end = Clock::now();
-  span.queue_us = us_between(t0, t_admit);
-  span.reserve_us = us_between(t_admit, t_reserved);
-  span.fetch_us = us_between(t_reserved, t_fetched);
-  span.coalesce_us = cwait.wait_us;
-  span.total_us = us_between(t0, t_end);
-  {
-    // Duration histograms are Ok-grants only: their counts tie to
-    // stats().requests once in-flight acquires have drained.
-    std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
-    queue_us_.record(span.queue_us);
-    reserve_us_.record(span.reserve_us);
-    fetch_us_.record(span.fetch_us);
-    total_us_.record(span.total_us);
-    queue_depth_.record(span.queue_depth);
-    if (!fetched.empty()) ++*transfers_slot_;
-    if (cwait.waited_files > 0) {
-      ++*coalesced_slot_;
-      coalesce_us_.record(span.coalesce_us);
-    }
-    ++*acquire_ok_slot_;
+  // Duration histograms are Ok-grants only: their counts tie to
+  // stats().requests once in-flight acquires have drained.
+  std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
+  queue_us_.record(us_between(t0, t_admit));
+  reserve_us_.record(us_between(t_admit, t_reserved));
+  fetch_us_.record(us_between(t_reserved, t_fetched));
+  total_us_.record(us_between(t0, t_end));
+  queue_depth_.record(queue_depth);
+  if (!fetched.empty()) ++*transfers_slot_;
+  if (cwait.waited_files > 0) {
+    ++*coalesced_slot_;
+    coalesce_us_.record(cwait.wait_us);
   }
-  span.status = static_cast<std::uint8_t>(result.status);
-  spans_.record(span);
+  ++*acquire_ok_slot_;
   return result;
 }
 
 bool BundleServer::release(LeaseId lease) {
   std::unique_lock<OrderedMutex> lock(mu_);
-  // take() nests the lease-shard lock under mu_ (the one place that
-  // order occurs; the reverse never does). Holding mu_ across the unpin
-  // keeps "lease gone" and "pins gone" atomic for audits and admissions.
-  std::optional<Request> bundle = leases_.take(lease);
-  if (!bundle.has_value()) {
+  // One mu_ hold drops the lease and its pins together, so audits and
+  // admissions never see one without the other.
+  if (!leases_.release(lease, cache_)) {
     lock.unlock();
     std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
     ++*release_unknown_slot_;
     return false;
   }
-  for (FileId id : bundle->files) cache_.unpin(id);
   ++released_;
   std::uint64_t held_us = 0;
   if (auto it = grant_times_.find(lease); it != grant_times_.end()) {
@@ -416,14 +386,9 @@ bool BundleServer::release(LeaseId lease) {
   return true;
 }
 
-void BundleServer::finish_span(obs::ServingSpan span, AcquireStatus status,
-                               std::string_view counter) {
-  span.status = static_cast<std::uint8_t>(status);
-  {
-    std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
-    counters_.add(counter);
-  }
-  spans_.record(span);
+void BundleServer::count_outcome(std::string_view counter) {
+  std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
+  counters_.add(counter);
 }
 
 std::vector<FileId> BundleServer::resident_files() const {
@@ -500,12 +465,12 @@ std::vector<std::string> BundleServer::audit() const {
     violations.push_back("serve.capacity: used exceeds capacity");
 
   // Leases: every leased file must be resident and pinned; every pinned
-  // file must be covered by at least one live lease. Shard locks nest
-  // under mu_ here, and because grants and releases mutate the table only
-  // while holding mu_ themselves, the snapshot is point-in-time
-  // consistent.
-  for (const auto& [lease, bundle] : leases_.snapshot()) {
+  // file must be covered by at least one live lease. The table is walked
+  // in lease-id order, so violations come out sorted by lease id.
+  std::unordered_set<FileId> covered;
+  for (const auto& [lease, bundle] : leases_.leases()) {
     for (FileId id : bundle.files) {
+      covered.insert(id);
       if (!cache_.contains(id))
         violations.push_back("serve.lease: lease " + std::to_string(lease) +
                              " covers non-resident file " +
@@ -516,7 +481,7 @@ std::vector<std::string> BundleServer::audit() const {
     }
   }
   for (FileId id : cache_.resident_files()) {
-    if (cache_.pinned(id) && !leases_.covers(id))
+    if (cache_.pinned(id) && !covered.contains(id))
       violations.push_back("serve.lease: pinned file " + std::to_string(id) +
                            " has no covering lease");
   }

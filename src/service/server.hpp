@@ -49,7 +49,6 @@
 // abort at runtime on any inversion.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -70,7 +69,6 @@
 #include "grid/transfer.hpp"
 #include "obs/counter.hpp"
 #include "obs/histogram.hpp"
-#include "obs/span.hpp"
 #include "service/coalesce.hpp"
 #include "service/endpoint.hpp"
 #include "service/lease.hpp"
@@ -90,8 +88,13 @@ enum class AdmitOrder {
 /// Parses "fifo" / "value" (throws std::invalid_argument otherwise).
 [[nodiscard]] AdmitOrder parse_admit_order(const std::string& name);
 
-/// Configuration of the serving layer. Every field here must be surfaced
-/// by both the fbcd and fbcload CLIs (enforced by fbclint L003).
+/// Returns "fifo" / "value", the inverse of parse_admit_order.
+[[nodiscard]] const char* to_string(AdmitOrder order) noexcept;
+
+/// Configuration of the serving layer. Every field except policy_factory is
+/// a flag of fbcd, fbcload and fbcgrid: the row list kServiceFlags in
+/// tools/serving_common.hpp registers, parses and forwards them, and its
+/// arity check fails the build when a field here has no row.
 struct ServiceConfig {
   /// Staging cache capacity.
   Bytes cache_bytes = 1 * GiB;
@@ -121,8 +124,6 @@ struct ServiceConfig {
   /// Upper bound on the QueueFull retry-after hint; 0 means no cap beyond
   /// the UINT32_MAX saturation of the wire field.
   std::uint32_t retry_after_cap_ms = 60000;
-  /// Most recent per-request spans kept for debugging (0 disables).
-  std::size_t span_capacity = 1024;
   /// Selection engine for optfb* policies. The serving hot path defaults
   /// to Incremental (per-decision cost stays ~flat as the history grows);
   /// shadow_diff and the sched_sim equivalence suites pin its decisions
@@ -134,9 +135,6 @@ struct ServiceConfig {
   /// lock and the selection re-score across up to this many grants with
   /// identical decisions.
   std::size_t admission_batch = 8;
-  /// Shards of the lease table (lease- and file-keyed maps); lease
-  /// bookkeeping locks are per-shard, never the admission mutex.
-  std::size_t lease_shards = 16;
   /// Coalesce concurrent fetches: a granted request whose bundle overlaps
   /// a transfer still in flight waits for that transfer instead of
   /// starting its job before the bytes arrive (0 disables, restoring the
@@ -225,12 +223,6 @@ class BundleServer : public ServingEndpoint {
   /// cache state" between batched and serial replays of one schedule.
   [[nodiscard]] std::vector<FileId> resident_files() const;
 
-  /// Most recent per-request spans, oldest first (bounded by
-  /// ServiceConfig::span_capacity).
-  [[nodiscard]] std::vector<obs::ServingSpan> spans() const {
-    return spans_.snapshot();
-  }
-
   /// Independently re-checks the serving invariants (capacity accounting,
   /// lease pinning, residency of leased bundles, counter consistency) and
   /// returns human-readable violations -- empty when healthy. The checks
@@ -258,12 +250,11 @@ class BundleServer : public ServingEndpoint {
     LeaseId lease = 0;
     bool request_hit = false;
     double stage_s = 0.0;
-    Bytes missing_bytes = 0;
     /// Files this admission actually stages (missing at reserve time);
     /// the coalescer keys in-flight transfers on them.
     std::vector<FileId> fetched;
     std::uint32_t failed_attempts = 0;
-    /// Stage boundary instants stamped by the draining thread so span
+    /// Stage boundary instants stamped by the draining thread so stage
     /// timings survive batched admission (the waiter may be asleep in
     /// cv_.wait while another thread admits it).
     std::chrono::steady_clock::time_point t_admit{};
@@ -294,13 +285,12 @@ class BundleServer : public ServingEndpoint {
   // fbc:requires(mu_)
   LeaseId admit_locked(const Request& request, Bytes bundle_bytes,
                        bool* request_hit, double* stage_s,
-                       std::vector<FileId>* fetched, Bytes* missing_bytes);
+                       std::vector<FileId>* fetched);
 
-  /// Counts the outcome under obs_mu_ and records the span (error paths;
-  /// the Ok-grant path folds its counter bump into the same obs_mu_
-  /// section as the duration histograms so a grant costs one lock).
-  void finish_span(obs::ServingSpan span, AcquireStatus status,
-                   std::string_view counter);
+  /// Counts a rejected acquire under obs_mu_ (the Ok-grant path folds its
+  /// counter bump into the same obs_mu_ section as the duration
+  /// histograms so a grant costs one lock).
+  void count_outcome(std::string_view counter);
 
   ServiceConfig config_;
   const StorageBackend* mss_;
@@ -308,7 +298,8 @@ class BundleServer : public ServingEndpoint {
 
   // Admission lock (level 10 in the docs/SERVING.md lock hierarchy).
   // fbc:lock-level(10)
-  // fbc:guards(cache_, policy_, metrics_, fail_rng_, queue_, admissions_)
+  // fbc:guards(cache_, policy_, metrics_, leases_, fail_rng_, queue_)
+  // fbc:guards(admissions_)
   // fbc:guards(rejected_full_, timed_out_, invalid_, transfer_retries_)
   // fbc:guards(transfer_failures_, released_, closed_, paused_, grant_times_)
   mutable OrderedMutex mu_{10, "BundleServer::mu_"};
@@ -316,7 +307,7 @@ class BundleServer : public ServingEndpoint {
   DiskCache cache_;
   PolicyPtr policy_;
   CacheMetrics metrics_;
-  ShardedLeaseTable leases_;
+  LeaseTable leases_;
   FetchCoalescer coalescer_;
   Rng fail_rng_;
   std::deque<Waiter*> queue_;
@@ -333,8 +324,6 @@ class BundleServer : public ServingEndpoint {
   /// Guarded by mu_; lookups only (fbclint L005: never iterated).
   std::unordered_map<LeaseId, std::chrono::steady_clock::time_point>
       grant_times_;
-
-  std::atomic<std::uint64_t> request_seq_ = 0;
 
   /// Observability state. Guarded by obs_mu_, which is always acquired
   /// *after* mu_ (never the reverse -- level 40 vs 10) and held only for
@@ -354,7 +343,6 @@ class BundleServer : public ServingEndpoint {
   obs::Histogram hold_us_;         ///< grant -> release
   obs::Histogram queue_depth_;     ///< waiters ahead at enqueue
   obs::Histogram batch_size_;      ///< admissions per non-empty drain pass
-  obs::SpanRecorder spans_;        ///< bounded ring (config.span_capacity)
   /// Pre-resolved cells for the per-grant counters (CounterRegistry::slot
   /// pointers into counters_; map nodes are stable). Bumped under obs_mu_
   /// exactly like counters_.add(), minus the string lookup per request.

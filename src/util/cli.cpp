@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -84,6 +85,14 @@ std::uint64_t CliParser::get_u64(const std::string& name) const {
   } catch (const std::exception&) {
     throw std::invalid_argument("option --" + name + " is not an unsigned integer: " + v);
   }
+}
+
+std::uint32_t CliParser::get_u32(const std::string& name) const {
+  const std::uint64_t v = get_u64(name);
+  if (v > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("option --" + name +
+                                " exceeds 4294967295: " + find(name).value);
+  return static_cast<std::uint32_t>(v);
 }
 
 std::int64_t CliParser::get_i64(const std::string& name) const {

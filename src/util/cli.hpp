@@ -41,6 +41,9 @@ class CliParser {
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;
+  /// get_u64 for 32-bit settings: throws std::invalid_argument naming the
+  /// option for values above UINT32_MAX instead of letting them wrap.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& name) const;
   [[nodiscard]] std::int64_t get_i64(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

@@ -3,6 +3,8 @@
 // other test checks only locally. Sized to stay within a few seconds.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cache/simulator.hpp"
 #include "core/registry.hpp"
 #include "util/rng.hpp"
@@ -17,6 +19,14 @@ struct StressCase {
   QueueMode mode;
   double cache_scale;
 };
+
+// Without this, gtest names each case by the raw bytes of StressCase: the
+// policy pointer and the struct padding, which change from run to run.
+void PrintTo(const StressCase& sc, std::ostream* os) {
+  *os << sc.policy << " q" << sc.queue_length
+      << (sc.mode == QueueMode::Batch ? " batch" : " sliding") << " x"
+      << sc.cache_scale;
+}
 
 class Stress : public ::testing::TestWithParam<StressCase> {};
 

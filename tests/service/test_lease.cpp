@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -105,95 +104,6 @@ TEST(LeaseTable, ReleaseAllDropsEveryPin) {
   EXPECT_EQ(leases.active(), 0u);
   EXPECT_FALSE(cache.pinned(0));
   EXPECT_FALSE(cache.pinned(1));
-}
-
-TEST(ShardedLeaseTable, GrantTakeCoversAcrossShardCounts) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
-                                   std::size_t{16}}) {
-    SCOPED_TRACE(shards);
-    ShardedLeaseTable leases(shards);
-    EXPECT_GE(leases.shard_count(), 1u);
-
-    const LeaseId a = leases.grant(Request({0, 1}));
-    const LeaseId b = leases.grant(Request({1, 2}));
-    EXPECT_EQ(a, 1u);  // ids are dense from 1 regardless of sharding
-    EXPECT_EQ(b, 2u);
-    EXPECT_EQ(leases.active(), 2u);
-    EXPECT_EQ(leases.granted(), 2u);
-
-    EXPECT_TRUE(leases.covers(0));
-    EXPECT_EQ(leases.cover_count(1), 2u);  // overlap stacks counts
-    EXPECT_EQ(leases.cover_count(3), 0u);
-    ASSERT_TRUE(leases.bundle(a).has_value());
-    EXPECT_EQ(*leases.bundle(a), Request({0, 1}));
-    EXPECT_FALSE(leases.bundle(99).has_value());
-    EXPECT_EQ(leases.snapshot().size(), 2u);
-
-    const std::optional<Request> taken = leases.take(a);
-    ASSERT_TRUE(taken.has_value());
-    EXPECT_EQ(*taken, Request({0, 1}));
-    EXPECT_FALSE(leases.take(a).has_value());  // double take
-    EXPECT_FALSE(leases.covers(0));
-    EXPECT_EQ(leases.cover_count(1), 1u);  // b still covers file 1
-    EXPECT_EQ(leases.active(), 1u);
-    EXPECT_EQ(leases.granted(), 2u);  // granted never decreases
-
-    const std::vector<Request> remaining = leases.take_all();
-    ASSERT_EQ(remaining.size(), 1u);
-    EXPECT_EQ(remaining[0], Request({1, 2}));
-    EXPECT_EQ(leases.active(), 0u);
-    EXPECT_FALSE(leases.covers(2));
-    EXPECT_TRUE(leases.snapshot().empty());
-  }
-}
-
-TEST(ShardedLeaseTable, ConcurrentGrantTakeKeepsCountsConsistent) {
-  // Grant/take churn from several threads with concurrent covers() reads:
-  // the per-shard locking must keep every counter exact (this test also
-  // backs the CI thread-sanitizer leg for the sharded table).
-  ShardedLeaseTable leases(4);
-  constexpr int kThreads = 4;
-  constexpr int kIterations = 500;
-  std::atomic<int> failures{0};
-  std::atomic<bool> done{false};
-
-  std::thread reader([&leases, &done] {
-    while (!done.load()) {
-      for (FileId id = 0; id < 8; ++id) (void)leases.covers(id);
-      (void)leases.snapshot();
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&leases, &failures, t] {
-      Rng rng(static_cast<std::uint64_t>(t) + 1);
-      for (int i = 0; i < kIterations; ++i) {
-        std::vector<FileId> files;
-        const std::size_t count = rng.uniform_u64(1, 3);
-        for (std::size_t f = 0; f < count; ++f)
-          files.push_back(static_cast<FileId>(rng.uniform_u64(0, 7)));
-        const Request request(std::move(files));
-        const LeaseId id = leases.grant(request);
-        for (FileId file : request.files)
-          if (leases.cover_count(file) == 0) ++failures;
-        const std::optional<Request> taken = leases.take(id);
-        if (!taken.has_value() || !(*taken == request)) ++failures;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  done.store(true);
-  reader.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(leases.active(), 0u);
-  EXPECT_EQ(leases.granted(),
-            static_cast<std::uint64_t>(kThreads) * kIterations);
-  for (FileId id = 0; id < 8; ++id) EXPECT_EQ(leases.cover_count(id), 0u);
-  EXPECT_TRUE(leases.snapshot().empty());
 }
 
 // Concurrent lease-invariant stress: hammer a small, heavily contended

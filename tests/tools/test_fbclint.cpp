@@ -280,18 +280,19 @@ TEST(FbclintL008, CatchesEverySeededCoherenceGap) {
   const ProjectModel model = case2_model();
   const std::vector<Diagnostic> diags = rule_wire_coherence(model);
   // protocol.hpp: missing | 2 | Pong | doc row, StatsReply field-count
-  // drift at the struct line, and the evictions field both unset by
-  // stats() and unnamed by the codec (two diags on the field's line).
+  // drift at the struct line, and the evictions field unset by stats().
+  // The codec walks a field list whose arity is checked at compile time,
+  // so the linter no longer looks for codec gaps.
   EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 10));
   EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 18));
   EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 22));
   EXPECT_EQ(std::count_if(diags.begin(), diags.end(),
                           [](const Diagnostic& d) { return d.line == 22; }),
-            2)
-      << "evictions should draw one stats() diag and one codec diag";
+            1)
+      << "evictions should draw exactly one stats() diag";
   // server.cpp: the undocumented svc.hold_us metric literal.
   EXPECT_TRUE(has_diag_at(diags, "L008", "service/server.cpp", 34));
-  EXPECT_EQ(diags.size(), 5u);
+  EXPECT_EQ(diags.size(), 4u);
 }
 
 }  // namespace

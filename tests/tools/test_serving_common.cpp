@@ -1,13 +1,15 @@
 // Serving-tool plumbing tests: the RetryBudget that caps cumulative
 // QueueFull backoff at the per-request timeout (the fbcload retry
-// regression), and the flag -> ServiceConfig mapping both serving tools
-// share (the surface fbclint L003 audits).
+// regression), and the flag lists that map CLI flags onto ServiceConfig
+// and ClusterConfig for every serving tool, including fbcgrid's
+// forwarding of them to its fbcd shards.
 #include "tools/serving_common.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -63,16 +65,58 @@ TEST(RetryBudget, CumulativeSleepNeverExceedsTheTimeout) {
   EXPECT_EQ(budget.remaining_ms(), 0u);
 }
 
+/// Field-by-field ServiceConfig equality (policy_factory compared only by
+/// presence; it is a code seam, not a flag).
+void expect_same_service_config(const service::ServiceConfig& a,
+                                const service::ServiceConfig& b) {
+  EXPECT_EQ(a.cache_bytes, b.cache_bytes);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.max_queue, b.max_queue);
+  EXPECT_EQ(a.order, b.order);
+  EXPECT_EQ(a.timeout_ms, b.timeout_ms);
+  EXPECT_EQ(a.max_retries, b.max_retries);
+  EXPECT_EQ(a.retry_backoff_ms, b.retry_backoff_ms);
+  EXPECT_EQ(a.transfer_fail_prob, b.transfer_fail_prob);
+  EXPECT_EQ(a.time_scale, b.time_scale);
+  EXPECT_EQ(a.transfer_streams, b.transfer_streams);
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.retry_after_cap_ms, b.retry_after_cap_ms);
+  EXPECT_EQ(a.engine, b.engine);
+  EXPECT_EQ(a.admission_batch, b.admission_batch);
+  EXPECT_EQ(a.coalesce, b.coalesce);
+  EXPECT_EQ(a.shadow_diff, b.shadow_diff);
+  EXPECT_EQ(a.legacy_wire, b.legacy_wire);
+  EXPECT_EQ(a.shard_id, b.shard_id);
+  EXPECT_EQ(static_cast<bool>(a.policy_factory),
+            static_cast<bool>(b.policy_factory));
+}
+
+void expect_same_cluster_config(const cluster::ClusterConfig& a,
+                                const cluster::ClusterConfig& b) {
+  EXPECT_EQ(a.shards, b.shards);
+  EXPECT_EQ(a.placement, b.placement);
+  EXPECT_EQ(a.spill_threshold, b.spill_threshold);
+  EXPECT_EQ(a.vnodes, b.vnodes);
+  EXPECT_EQ(a.replica_sites, b.replica_sites);
+  EXPECT_EQ(a.replicate_hot, b.replicate_hot);
+  EXPECT_EQ(a.remote_pool_cap, b.remote_pool_cap);
+  EXPECT_EQ(a.down_threshold, b.down_threshold);
+  EXPECT_EQ(a.probe_ms, b.probe_ms);
+}
+
+/// Every service flag set away from its default (--shard-id included).
+const std::vector<std::string> kNonDefaultServiceFlags = {
+    "--cache=2MiB",          "--policy=lru",        "--max-queue=9",
+    "--order=value",         "--timeout-ms=1234",   "--max-retries=5",
+    "--retry-backoff-ms=20", "--fail-prob=0.25",    "--time-scale=0.125",
+    "--streams=2",           "--seed=77",           "--retry-cap-ms=500",
+    "--engine=reference",    "--admission-batch=3", "--no-coalesce",
+    "--shadow-diff",         "--legacy-wire",       "--shard-id=6"};
+
 TEST(ServingCommon, ServiceFlagsMapOntoEveryConfigField) {
   CliParser cli("test", "flag mapping");
   add_service_options(cli);
-  cli.parse({"--cache=2MiB", "--policy=lru", "--max-queue=9",
-             "--order=value", "--timeout-ms=1234", "--max-retries=5",
-             "--retry-backoff-ms=20", "--fail-prob=0.25", "--time-scale=0",
-             "--streams=2", "--seed=77", "--retry-cap-ms=500",
-             "--span-capacity=32", "--engine=reference",
-             "--admission-batch=3", "--lease-shards=5", "--no-coalesce",
-             "--shadow-diff", "--legacy-wire"});
+  cli.parse(kNonDefaultServiceFlags);
   const service::ServiceConfig config = service_config_from_cli(cli);
   EXPECT_EQ(config.cache_bytes, 2u * MiB);
   EXPECT_EQ(config.policy, "lru");
@@ -82,16 +126,16 @@ TEST(ServingCommon, ServiceFlagsMapOntoEveryConfigField) {
   EXPECT_EQ(config.max_retries, 5u);
   EXPECT_EQ(config.retry_backoff_ms, 20u);
   EXPECT_DOUBLE_EQ(config.transfer_fail_prob, 0.25);
+  EXPECT_DOUBLE_EQ(config.time_scale, 0.125);
   EXPECT_EQ(config.transfer_streams, 2u);
   EXPECT_EQ(config.seed, 77u);
   EXPECT_EQ(config.retry_after_cap_ms, 500u);
-  EXPECT_EQ(config.span_capacity, 32u);
   EXPECT_EQ(config.engine, SelectEngine::Reference);
   EXPECT_EQ(config.admission_batch, 3u);
-  EXPECT_EQ(config.lease_shards, 5u);
   EXPECT_FALSE(config.coalesce);
   EXPECT_TRUE(config.shadow_diff);
   EXPECT_TRUE(config.legacy_wire);
+  EXPECT_EQ(config.shard_id, 6u);
   // --shadow-diff must install the enginediff policy factory, or the
   // flag would silently do nothing at the server.
   EXPECT_TRUE(static_cast<bool>(config.policy_factory));
@@ -104,11 +148,103 @@ TEST(ServingCommon, DefaultsKeepTheOptimizedServingPath) {
   const service::ServiceConfig config = service_config_from_cli(cli);
   EXPECT_EQ(config.engine, SelectEngine::Incremental);
   EXPECT_GT(config.admission_batch, 1u);
-  EXPECT_GT(config.lease_shards, 1u);
   EXPECT_TRUE(config.coalesce);
   EXPECT_FALSE(config.shadow_diff);
   EXPECT_FALSE(config.legacy_wire);
   EXPECT_FALSE(static_cast<bool>(config.policy_factory));
+}
+
+TEST(ServingCommon, EmptyArgvParsesToTheStructDefaults) {
+  // The --help defaults are rendered from the structs' own initializers;
+  // they must parse back to exactly those values.
+  CliParser cli("test", "defaults");
+  add_service_options(cli);
+  add_cluster_options(cli);
+  cli.parse(std::vector<std::string>{});
+  expect_same_service_config(service_config_from_cli(cli),
+                             service::ServiceConfig{});
+  expect_same_cluster_config(cluster_config_from_cli(cli),
+                             cluster::ClusterConfig{});
+}
+
+TEST(ServingCommon, ClusterFlagsMapOntoEveryConfigField) {
+  CliParser cli("test", "cluster flag mapping");
+  add_cluster_options(cli);
+  cli.parse({"--shards=3", "--placement=hash", "--spill-threshold=0.75",
+             "--vnodes=16", "--replica-sites=2", "--replicate-hot=5",
+             "--remote-pool-cap=4", "--down-threshold=7", "--probe-ms=0"});
+  const cluster::ClusterConfig config = cluster_config_from_cli(cli);
+  EXPECT_EQ(config.shards, 3u);
+  EXPECT_EQ(config.placement, cluster::PlacementMode::HashFile);
+  EXPECT_DOUBLE_EQ(config.spill_threshold, 0.75);
+  EXPECT_EQ(config.vnodes, 16u);
+  EXPECT_EQ(config.replica_sites, 2u);
+  EXPECT_EQ(config.replicate_hot, 5u);
+  EXPECT_EQ(config.remote_pool_cap, 4u);
+  EXPECT_EQ(config.down_threshold, 7u);
+  EXPECT_EQ(config.probe_ms, 0u);
+}
+
+TEST(ServingCommon, NarrowFlagsRejectValuesThatWouldWrap) {
+  // 2^32 used to wrap to 0 (an instant timeout) and 2^32+1 to a
+  // one-shard cluster the router accepted.
+  CliParser cli("test", "narrowing");
+  add_service_options(cli);
+  add_cluster_options(cli);
+  cli.parse({"--timeout-ms=4294967296", "--shards=4294967297"});
+  try {
+    (void)service_config_from_cli(cli);
+    ADD_FAILURE() << "--timeout-ms=2^32 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--timeout-ms"), std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)cluster_config_from_cli(cli);
+    ADD_FAILURE() << "--shards=2^32+1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--shards"), std::string::npos)
+        << e.what();
+  }
+
+  // UINT32_MAX itself is still a valid value.
+  CliParser edge("test", "edge");
+  add_service_options(edge);
+  edge.parse({"--timeout-ms=4294967295"});
+  EXPECT_EQ(service_config_from_cli(edge).timeout_ms, 4294967295u);
+}
+
+TEST(ServingCommon, ShardDaemonArgsForwardEveryServiceFlag) {
+  // A grid CLI with every service flag away from its default...
+  CliParser grid("fbcgrid", "grid");
+  add_service_options(grid);
+  add_scenario_options(grid);
+  add_cluster_options(grid);
+  grid.add_option("workers", "connection handler threads", "8");
+  std::vector<std::string> argv = kNonDefaultServiceFlags;
+  argv.insert(argv.end(), {"--workers=3", "--scenario=henp", "--wseed=9",
+                           "--jobs=50", "--tier-mix=0.1,0.2"});
+  grid.parse(argv);
+  const service::ServiceConfig grid_config = service_config_from_cli(grid);
+
+  // ...must reach a spawned shard unchanged, apart from its shard id.
+  constexpr std::uint32_t kShard = 2;
+  CliParser fbcd("fbcd", "shard");
+  add_service_options(fbcd);
+  add_scenario_options(fbcd);
+  fbcd.add_option("port", "TCP port", "7401");
+  fbcd.add_option("workers", "connection handler threads", "8");
+  fbcd.parse(shard_daemon_args(grid, kShard));
+  const service::ServiceConfig shard_config = service_config_from_cli(fbcd);
+
+  EXPECT_EQ(shard_config.shard_id, kShard);
+  service::ServiceConfig expected = grid_config;
+  expected.shard_id = kShard;
+  expect_same_service_config(shard_config, expected);
+  for (const char* flag : {"workers", "scenario", "wseed", "jobs",
+                           "tier-mix"})
+    EXPECT_EQ(fbcd.get_string(flag), grid.get_string(flag)) << flag;
+  EXPECT_EQ(fbcd.get_u64("port"), 0u);
 }
 
 }  // namespace

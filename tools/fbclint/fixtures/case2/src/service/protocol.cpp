@@ -23,13 +23,4 @@ const char* frame_name(MsgType type) {
   }
 }
 
-void put_u64(unsigned char* out, unsigned long long v);
-
-// Encodes the stats block -- but forgets ServiceStats::evictions, the
-// seeded L008 codec gap flagged at the field's declaration.
-void encode_stats(const ServiceStats& stats, unsigned char* out) {
-  put_u64(out, stats.requests);
-  put_u64(out + 8, stats.hits);
-}
-
 }  // namespace fx2

@@ -12,14 +12,14 @@ enum class MsgType : std::uint8_t {
 };
 
 /// Wire stats block (L008): every field must be assigned by
-/// BundleServer::stats(), named by the codec, and counted by the
-/// StatsReply row of the docs wire table -- which here still says 2.
+/// BundleServer::stats() and counted by the StatsReply row of the docs
+/// wire table -- which here still says 2.
 // fbclint:expect(L008)
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t hits = 0;
-  // fbclint:expect(L008) evictions is never encoded by the codec
-  std::uint64_t evictions = 0;  // fbclint:expect(L008) nor set by stats()
+  // Seeded gap: the fixture BundleServer::stats() never assigns this.
+  std::uint64_t evictions = 0;  // fbclint:expect(L008) never set by stats()
 };
 
 }  // namespace fx2

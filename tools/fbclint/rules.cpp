@@ -135,6 +135,43 @@ std::set<std::string> strings_in_range(const SourceFile& file,
   return out;
 }
 
+/// Member (name token index) list of `struct Name {` in `file`; returns
+/// false when the struct is absent. `struct_line` gets the keyword line.
+bool collect_struct_fields(const SourceFile& file, const char* struct_name,
+                           std::vector<std::size_t>* fields,
+                           int* struct_line) {
+  const auto& toks = file.tokens;
+  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
+        !is_ident(toks[i + 1], struct_name) || !is_punct(toks[i + 2], "{"))
+      continue;
+    *struct_line = toks[i].line;
+    const std::size_t body_close = match_forward(toks, i + 2);
+    std::size_t stmt_begin = i + 3;
+    int depth = 0;
+    bool has_paren = false;
+    for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
+      if (is_punct(toks[k], "{")) ++depth;
+      if (is_punct(toks[k], "}")) --depth;
+      if (depth > 0) continue;
+      if (is_punct(toks[k], "(")) has_paren = true;
+      if (!is_punct(toks[k], ";")) continue;
+      if (!has_paren) {
+        std::size_t name_idx = 0;
+        for (std::size_t m = stmt_begin; m < k; ++m) {
+          if (is_punct(toks[m], "=")) break;
+          if (toks[m].kind == TokKind::Identifier) name_idx = m;
+        }
+        if (name_idx != 0) fields->push_back(name_idx);
+      }
+      stmt_begin = k + 1;
+      has_paren = false;
+    }
+    return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 std::vector<Diagnostic> rule_registry_completeness(const ProjectModel& model) {
@@ -206,131 +243,17 @@ std::vector<Diagnostic> rule_registry_completeness(const ProjectModel& model) {
     std::set<std::string> cli_idents;
     for (const Token& t : cli.tokens)
       if (t.kind == TokKind::Identifier) cli_idents.insert(t.text);
-    // Locate `struct PolicyContext {` and walk its members.
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-          !is_ident(toks[i + 1], "PolicyContext") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_close = match_forward(toks, i + 2);
-      std::size_t stmt_begin = i + 3;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (depth == 0 && is_punct(toks[k], ";")) {
-          // Member name: identifier before '=' or before the ';'.
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind == TokKind::Identifier) name_idx = m;
-          }
-          if (!has_paren && name_idx != 0 &&
-              cli_idents.count(toks[name_idx].text) == 0)
-            out.push_back({"L003", hpp.path, toks[name_idx].line,
-                           "PolicyContext knob '" + toks[name_idx].text +
-                               "' is not surfaced by the fbcsim CLI"});
-          stmt_begin = k + 1;
-          has_paren = false;
-        }
-      }
-      break;
-    }
+    std::vector<std::size_t> fields;
+    int struct_line = 0;
+    collect_struct_fields(hpp, "PolicyContext", &fields, &struct_line);
+    for (const std::size_t f : fields)
+      if (cli_idents.count(hpp.tokens[f].text) == 0)
+        out.push_back({"L003", hpp.path, hpp.tokens[f].line,
+                       "PolicyContext knob '" + hpp.tokens[f].text +
+                           "' is not surfaced by the fbcsim CLI"});
   }
 
-  // (d) Every ServiceConfig field must be surfaced by the serving-tool
-  // CLIs (fbcd / fbcload, directly or via their shared serving_common).
-  if (model.service_hpp >= 0 && !model.serving_tools.empty()) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.service_hpp)];
-    std::set<std::string> tool_idents;
-    for (const int tool : model.serving_tools)
-      for (const Token& t :
-           model.files[static_cast<std::size_t>(tool)].tokens)
-        if (t.kind == TokKind::Identifier) tool_idents.insert(t.text);
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-          !is_ident(toks[i + 1], "ServiceConfig") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_close = match_forward(toks, i + 2);
-      std::size_t stmt_begin = i + 3;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (depth == 0 && is_punct(toks[k], ";")) {
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind == TokKind::Identifier) name_idx = m;
-          }
-          if (!has_paren && name_idx != 0 &&
-              tool_idents.count(toks[name_idx].text) == 0)
-            out.push_back({"L003", hpp.path, toks[name_idx].line,
-                           "ServiceConfig field '" + toks[name_idx].text +
-                               "' is not surfaced by the fbcd/fbcload "
-                               "CLIs (serving_common.hpp)"});
-          stmt_begin = k + 1;
-          has_paren = false;
-        }
-      }
-      break;
-    }
-  }
-
-  // (e) Every ClusterConfig field must be surfaced by the cluster-serving
-  // CLI union (fbcgrid / fbcload --cluster, via their shared
-  // serving_common). Same walk as (d) over cluster/config.hpp.
-  if (model.cluster_config_hpp >= 0 && !model.serving_tools.empty()) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.cluster_config_hpp)];
-    std::set<std::string> tool_idents;
-    for (const int tool : model.serving_tools)
-      for (const Token& t :
-           model.files[static_cast<std::size_t>(tool)].tokens)
-        if (t.kind == TokKind::Identifier) tool_idents.insert(t.text);
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-          !is_ident(toks[i + 1], "ClusterConfig") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_close = match_forward(toks, i + 2);
-      std::size_t stmt_begin = i + 3;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (depth == 0 && is_punct(toks[k], ";")) {
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind == TokKind::Identifier) name_idx = m;
-          }
-          if (!has_paren && name_idx != 0 &&
-              tool_idents.count(toks[name_idx].text) == 0)
-            out.push_back({"L003", hpp.path, toks[name_idx].line,
-                           "ClusterConfig field '" + toks[name_idx].text +
-                               "' is not surfaced by the fbcgrid/fbcload "
-                               "--cluster CLIs (serving_common.hpp)"});
-          stmt_begin = k + 1;
-          has_paren = false;
-        }
-      }
-      break;
-    }
-  }
-
-  // (f) Every switch over MsgType in the protocol codec must stay
+  // (d) Every switch over MsgType in the protocol codec must stay
   // exhaustive: one case per enumerator and no 'default' (a default
   // would silently swallow a newly added message type).
   if (model.protocol_hpp >= 0 && model.protocol_cpp >= 0) {
@@ -1141,43 +1064,6 @@ bool read_text_file(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Member (name token index) list of `struct Name {` in `file`; returns
-/// false when the struct is absent. `struct_line` gets the keyword line.
-bool collect_struct_fields(const SourceFile& file, const char* struct_name,
-                           std::vector<std::size_t>* fields,
-                           int* struct_line) {
-  const auto& toks = file.tokens;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-        !is_ident(toks[i + 1], struct_name) || !is_punct(toks[i + 2], "{"))
-      continue;
-    *struct_line = toks[i].line;
-    const std::size_t body_close = match_forward(toks, i + 2);
-    std::size_t stmt_begin = i + 3;
-    int depth = 0;
-    bool has_paren = false;
-    for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-      if (is_punct(toks[k], "{")) ++depth;
-      if (is_punct(toks[k], "}")) --depth;
-      if (depth > 0) continue;
-      if (is_punct(toks[k], "(")) has_paren = true;
-      if (!is_punct(toks[k], ";")) continue;
-      if (!has_paren) {
-        std::size_t name_idx = 0;
-        for (std::size_t m = stmt_begin; m < k; ++m) {
-          if (is_punct(toks[m], "=")) break;
-          if (toks[m].kind == TokKind::Identifier) name_idx = m;
-        }
-        if (name_idx != 0) fields->push_back(name_idx);
-      }
-      stmt_begin = k + 1;
-      has_paren = false;
-    }
-    return true;
-  }
-  return false;
-}
-
 /// Identifiers inside the body of out-of-line `Cls::method` in `file`.
 bool method_body_idents(const SourceFile& file, const char* cls,
                         const char* method, std::set<std::string>* out) {
@@ -1300,8 +1186,9 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
     }
   }
 
-  // (a) Every ServiceStats field must be assigned by BundleServer::stats()
-  // and named by the codec; the SERVING.md StatsReply row must count them.
+  // (a) Every ServiceStats field must be assigned by BundleServer::stats(),
+  // and the SERVING.md StatsReply row must count them. (The codec walks
+  // kServiceStatsFields, whose arity check is a compile-time guarantee.)
   std::vector<std::size_t> fields;
   int stats_struct_line = 0;
   if (collect_struct_fields(proto_hpp, "ServiceStats", &fields,
@@ -1320,20 +1207,6 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
                                "BundleServer::stats(); it goes over the "
                                "wire as a stale zero"});
       }
-    }
-    if (model.protocol_cpp >= 0) {
-      const SourceFile& proto_cpp =
-          model.files[static_cast<std::size_t>(model.protocol_cpp)];
-      std::set<std::string> codec_idents;
-      for (const Token& t : proto_cpp.tokens)
-        if (t.kind == TokKind::Identifier) codec_idents.insert(t.text);
-      for (const std::size_t f : fields)
-        if (codec_idents.count(proto_hpp.tokens[f].text) == 0)
-          out.push_back({"L008", proto_hpp.path, proto_hpp.tokens[f].line,
-                         "ServiceStats field '" + proto_hpp.tokens[f].text +
-                             "' is never touched by the protocol codec "
-                             "(protocol.cpp); encode and decode would "
-                             "silently skip it"});
     }
     if (have_serving) {
       bool row_found = false;

@@ -16,7 +16,7 @@
 // Reports throughput and end-to-end p50/p95/p99 acquire latency (all
 // percentiles via util/stats::quantile -- the single project-wide
 // implementation), fetches the server's MsgType::Metrics snapshot, and
-// cross-checks the server-side span percentiles against the client-side
+// cross-checks the server-side latency percentiles against the client-side
 // view; exits nonzero if any request ultimately fails or any check trips
 // (the CI smoke gate).
 #include <algorithm>
@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
     for (std::size_t w = 0; w < connections; ++w) {
       threads.emplace_back(run_worker, port, std::cref(workload), w,
                            connections, total_requests, hold_ms,
-                           cli.get_u64("timeout-ms"),
+                           config.timeout_ms,
                            !cli.get_flag("no-pipeline"),
                            config.legacy_wire, &results[w]);
     }
@@ -429,7 +429,7 @@ int main(int argc, char** argv) {
     const double wall_s = std::max(wall.count(), 1e-9);
     RunningStats lat;
     for (double ms : total.latencies_ms) lat.add(ms);
-    // Server-side span percentiles (point estimates, converted to ms) next
+    // Server-side acquire.total_us percentiles (point estimates, in ms) next
     // to the client-observed ones: the gap between the columns is the
     // client-side overhead (socket round-trips plus release).
     const obs::Histogram* srv = histogram_of(metrics, "acquire.total_us");

@@ -1,19 +1,25 @@
-// Shared CLI plumbing for the serving tools (fbcd, fbcload).
+// Shared CLI plumbing for the serving tools (fbcd, fbcload, fbcgrid).
 //
-// Both tools must expose every ServiceConfig field as a flag (fbclint L003
-// checks the field list against the identifiers used here) and must build
-// the *same* workload from the same scenario flags: fbcd serves the
-// catalog, fbcload replays the job stream against it, and because
-// generation is seed-deterministic the two processes agree on every file
-// id and size without exchanging anything but the flags.
+// ServiceConfig and ClusterConfig each have one flag list here
+// (kServiceFlags, kClusterFlags): registration, parsing, --help defaults
+// and fbcgrid's forwarding to its fbcd shards are all generated from it,
+// and a static_assert next to each list fails the build when the struct
+// gains a member without a row. The tools must also build the *same*
+// workload from the same scenario flags: fbcd serves the catalog, fbcload
+// replays the job stream against it, and because generation is
+// seed-deterministic the processes agree on every file id and size
+// without exchanging anything but the flags.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -27,72 +33,213 @@
 #include "testing/oracles.hpp"
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
+#include "util/member_count.hpp"
 #include "util/rng.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/workload.hpp"
 
 namespace fbc::tools {
 
+/// Tags for flag_row's `As` parameter: a Bytes member read with
+/// parse_bytes ("512MiB"), and a bool member set by a switch that turns it
+/// *off* (--no-coalesce).
+struct ByteSize {};
+struct Inverted {};
+
+/// One CLI flag bound to one member of config struct `C`. `read` parses
+/// the flag into its member; `show` renders the member as flag text, so a
+/// default-constructed C supplies the --help default and the struct's own
+/// initializer stays the only place a default is written. Switches (bare
+/// --flag, off by default) have no `show`.
+template <class C>
+struct FlagField {
+  const char* flag;
+  const char* help;
+  void (*read)(const CliParser& cli, const char* flag, C& config);
+  std::string (*show)(const C& config);
+};
+
+namespace detail {
+
+template <class>
+struct MemberOf;
+template <class C, class T>
+struct MemberOf<T C::*> {
+  using owner = C;
+  using type = T;
+};
+
+template <class As>
+auto read_value(const CliParser& cli, const std::string& flag) {
+  if constexpr (std::is_same_v<As, ByteSize>) {
+    return parse_bytes(cli.get_string(flag));
+  } else if constexpr (std::is_same_v<As, Inverted>) {
+    return !cli.get_flag(flag);
+  } else if constexpr (std::is_same_v<As, bool>) {
+    return cli.get_flag(flag);
+  } else if constexpr (std::is_same_v<As, std::string>) {
+    return cli.get_string(flag);
+  } else if constexpr (std::is_same_v<As, double>) {
+    return cli.get_double(flag);
+  } else if constexpr (std::is_same_v<As, service::AdmitOrder>) {
+    return service::parse_admit_order(cli.get_string(flag));
+  } else if constexpr (std::is_same_v<As, SelectEngine>) {
+    return parse_select_engine(cli.get_string(flag));
+  } else if constexpr (std::is_same_v<As, cluster::PlacementMode>) {
+    return cluster::parse_placement(cli.get_string(flag));
+  } else if constexpr (sizeof(As) == sizeof(std::uint32_t)) {
+    return cli.get_u32(flag);
+  } else {
+    static_assert(std::is_unsigned_v<As> && sizeof(As) == 8);
+    return cli.get_u64(flag);
+  }
+}
+
+template <class As, class T>
+std::string show_value(const T& value) {
+  if constexpr (std::is_same_v<As, ByteSize>) {
+    return format_bytes(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return value;
+  } else if constexpr (std::is_same_v<T, double>) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+  } else if constexpr (std::is_enum_v<T>) {
+    return to_string(value);
+  } else {
+    return std::to_string(value);
+  }
+}
+
+}  // namespace detail
+
+/// The FlagField of `Member`, parsed and shown according to `As` (the
+/// member's own type unless a ByteSize / Inverted tag says otherwise).
+template <auto Member,
+          class As = typename detail::MemberOf<decltype(Member)>::type>
+constexpr auto flag_row(const char* flag, const char* help) {
+  using C = typename detail::MemberOf<decltype(Member)>::owner;
+  FlagField<C> row{flag, help, nullptr, nullptr};
+  row.read = [](const CliParser& cli, const char* f, C& c) {
+    c.*Member = detail::read_value<As>(cli, f);
+  };
+  if constexpr (!std::is_same_v<As, bool> && !std::is_same_v<As, Inverted>)
+    row.show = [](const C& c) { return detail::show_value<As>(c.*Member); };
+  return row;
+}
+
+/// Registers one flag per row, with defaults from a default-constructed C.
+template <class C, std::size_t N>
+void add_flags(CliParser& cli, const std::array<FlagField<C>, N>& rows) {
+  const C defaults{};
+  for (const FlagField<C>& row : rows) {
+    if (row.show == nullptr) {
+      cli.add_flag(row.flag, row.help);
+    } else {
+      cli.add_option(row.flag, row.help, row.show(defaults));
+    }
+  }
+}
+
+/// Builds a C from the flags add_flags registered.
+template <class C, std::size_t N>
+C read_flags(const CliParser& cli, const std::array<FlagField<C>, N>& rows) {
+  C config;
+  for (const FlagField<C>& row : rows) row.read(cli, row.flag, config);
+  return config;
+}
+
+/// The flag list of service::ServiceConfig: fbcd, fbcload and fbcgrid
+/// register and parse it, and fbcgrid forwards it to its fbcd shards.
+/// policy_factory is the one member without a row (a code seam, set by
+/// service_config_from_cli for --shadow-diff).
+inline constexpr auto kServiceFlags = [] {
+  using C = service::ServiceConfig;
+  return std::to_array<FlagField<C>>({
+      flag_row<&C::cache_bytes, ByteSize>("cache", "staging cache capacity"),
+      flag_row<&C::policy>("policy", "replacement policy name"),
+      flag_row<&C::max_queue>("max-queue",
+                              "admission queue bound (backpressure)"),
+      flag_row<&C::order>("order", "admission order: fifo|value"),
+      flag_row<&C::timeout_ms>("timeout-ms", "per-request admission timeout"),
+      flag_row<&C::max_retries>("max-retries",
+                                "MSS transfer retries per request"),
+      flag_row<&C::retry_backoff_ms>("retry-backoff-ms",
+                                     "base transfer retry backoff"),
+      flag_row<&C::transfer_fail_prob>(
+          "fail-prob", "per-attempt MSS transfer failure prob"),
+      flag_row<&C::time_scale>(
+          "time-scale", "wall seconds slept per simulated staging second"),
+      flag_row<&C::transfer_streams>("streams",
+                                     "parallel MSS transfer streams"),
+      flag_row<&C::seed>("seed", "failure-injection / policy seed"),
+      flag_row<&C::retry_after_cap_ms>(
+          "retry-cap-ms",
+          "cap on the QueueFull retry-after hint (0 = uncapped)"),
+      flag_row<&C::engine>("engine",
+                           "optfb selection engine: reference|incremental"),
+      flag_row<&C::admission_batch>(
+          "admission-batch",
+          "queue entries admitted per drain pass (1 = serial)"),
+      flag_row<&C::coalesce, Inverted>(
+          "no-coalesce",
+          "disable single-flight waiting on overlapping fetches"),
+      flag_row<&C::shadow_diff>(
+          "shadow-diff",
+          "run the Reference engine in lock-step shadow and assert "
+          "bit-identical decisions (debug)"),
+      flag_row<&C::legacy_wire>(
+          "legacy-wire",
+          "pre-batching transport: unbuffered per-frame reads, one send per "
+          "reply (bench baseline mode)"),
+      flag_row<&C::shard_id>("shard-id",
+                             "this server's position in its cluster"),
+  });
+}();
+static_assert(member_count<service::ServiceConfig>() ==
+                  kServiceFlags.size() + 1,
+              "every ServiceConfig member but policy_factory needs a "
+              "kServiceFlags row");
+
+/// The flag list of cluster::ClusterConfig, shared by fbcgrid and
+/// fbcload --cluster.
+inline constexpr auto kClusterFlags = [] {
+  using C = cluster::ClusterConfig;
+  return std::to_array<FlagField<C>>({
+      flag_row<&C::shards>("shards", "BundleServer shards behind the router"),
+      flag_row<&C::placement>("placement", "bundle placement: affinity|hash"),
+      flag_row<&C::spill_threshold>(
+          "spill-threshold",
+          "bundle-to-shard-capacity ratio beyond which an affinity bundle "
+          "scatters across shards"),
+      flag_row<&C::vnodes>("vnodes",
+                           "consistent-hash virtual nodes per shard"),
+      flag_row<&C::replica_sites>("replica-sites",
+                                  "extra MSS replica sites for replica-aware "
+                                  "fetch (0 = plain MSS)"),
+      flag_row<&C::replicate_hot>(
+          "replicate-hot", "hottest files replicated to every replica site"),
+      flag_row<&C::remote_pool_cap>(
+          "remote-pool-cap", "idle connections kept per remote shard daemon"),
+      flag_row<&C::down_threshold>(
+          "down-threshold",
+          "consecutive NetErrors before a shard is marked down"),
+      flag_row<&C::probe_ms>(
+          "probe-ms",
+          "recovery-probe interval for down shards (0 = every request)"),
+  });
+}();
+static_assert(member_count<cluster::ClusterConfig>() == kClusterFlags.size(),
+              "every ClusterConfig member needs a kClusterFlags row");
+
 /// Registers one flag per service::ServiceConfig field.
 inline void add_service_options(CliParser& cli) {
-  cli.add_option("cache", "staging cache capacity", "1GiB");
-  cli.add_option("policy", "replacement policy name", "optfb");
-  cli.add_option("max-queue", "admission queue bound (backpressure)", "64");
-  cli.add_option("order", "admission order: fifo|value", "fifo");
-  cli.add_option("timeout-ms", "per-request admission timeout", "30000");
-  cli.add_option("max-retries", "MSS transfer retries per request", "3");
-  cli.add_option("retry-backoff-ms", "base transfer retry backoff", "10");
-  cli.add_option("fail-prob", "per-attempt MSS transfer failure prob", "0");
-  cli.add_option("time-scale",
-                 "wall seconds slept per simulated staging second", "0");
-  cli.add_option("streams", "parallel MSS transfer streams", "4");
-  cli.add_option("seed", "failure-injection / policy seed", "1");
-  cli.add_option("retry-cap-ms",
-                 "cap on the QueueFull retry-after hint (0 = uncapped)",
-                 "60000");
-  cli.add_option("span-capacity",
-                 "per-request spans kept for debugging (0 disables)", "1024");
-  cli.add_option("engine", "optfb selection engine: reference|incremental",
-                 "incremental");
-  cli.add_option("admission-batch",
-                 "queue entries admitted per drain pass (1 = serial)", "8");
-  cli.add_option("lease-shards", "lease-table shard count", "16");
-  cli.add_flag("no-coalesce",
-               "disable single-flight waiting on overlapping fetches");
-  cli.add_flag("shadow-diff",
-               "run the Reference engine in lock-step shadow and assert "
-               "bit-identical decisions (debug)");
-  cli.add_flag("legacy-wire",
-               "pre-batching transport: unbuffered per-frame reads, one "
-               "send per reply (bench baseline mode)");
-  cli.add_option("shard-id", "this server's position in its cluster", "0");
+  add_flags(cli, kServiceFlags);
 }
 
 /// Builds a ServiceConfig from the flags added above.
 inline service::ServiceConfig service_config_from_cli(const CliParser& cli) {
-  service::ServiceConfig config;
-  config.cache_bytes = parse_bytes(cli.get_string("cache"));
-  config.policy = cli.get_string("policy");
-  config.max_queue = cli.get_u64("max-queue");
-  config.order = service::parse_admit_order(cli.get_string("order"));
-  config.timeout_ms = static_cast<std::uint32_t>(cli.get_u64("timeout-ms"));
-  config.max_retries = static_cast<std::uint32_t>(cli.get_u64("max-retries"));
-  config.retry_backoff_ms =
-      static_cast<std::uint32_t>(cli.get_u64("retry-backoff-ms"));
-  config.transfer_fail_prob = cli.get_double("fail-prob");
-  config.time_scale = cli.get_double("time-scale");
-  config.transfer_streams = cli.get_u64("streams");
-  config.seed = cli.get_u64("seed");
-  config.retry_after_cap_ms =
-      static_cast<std::uint32_t>(cli.get_u64("retry-cap-ms"));
-  config.span_capacity = cli.get_u64("span-capacity");
-  config.engine = parse_select_engine(cli.get_string("engine"));
-  config.admission_batch = cli.get_u64("admission-batch");
-  config.lease_shards = cli.get_u64("lease-shards");
-  config.coalesce = !cli.get_flag("no-coalesce");
-  config.shadow_diff = cli.get_flag("shadow-diff");
-  config.legacy_wire = cli.get_flag("legacy-wire");
-  config.shard_id = static_cast<std::uint32_t>(cli.get_u64("shard-id"));
+  service::ServiceConfig config = read_flags(cli, kServiceFlags);
   if (config.shadow_diff) {
     // The server itself cannot depend on the testing library; install its
     // prefix-aware factory so "enginediff:<policy>" wraps the configured
@@ -105,49 +252,32 @@ inline service::ServiceConfig service_config_from_cli(const CliParser& cli) {
   return config;
 }
 
-/// Registers one flag per cluster::ClusterConfig field (fbcgrid and
-/// fbcload --cluster share this surface; fbclint L003 checks the field
-/// list against the identifiers used here).
+/// Registers one flag per cluster::ClusterConfig field.
 inline void add_cluster_options(CliParser& cli) {
-  cli.add_option("shards", "BundleServer shards behind the router", "4");
-  cli.add_option("placement", "bundle placement: affinity|hash", "affinity");
-  cli.add_option("spill-threshold",
-                 "bundle-to-shard-capacity ratio beyond which an affinity "
-                 "bundle scatters across shards",
-                 "0.5");
-  cli.add_option("vnodes", "consistent-hash virtual nodes per shard", "64");
-  cli.add_option("replica-sites",
-                 "extra MSS replica sites for replica-aware fetch "
-                 "(0 = plain MSS)",
-                 "0");
-  cli.add_option("replicate-hot",
-                 "hottest files replicated to every replica site", "0");
-  cli.add_option("remote-pool-cap",
-                 "idle connections kept per remote shard daemon", "8");
-  cli.add_option("down-threshold",
-                 "consecutive NetErrors before a shard is marked down", "3");
-  cli.add_option("probe-ms",
-                 "recovery-probe interval for down shards (0 = every "
-                 "request)",
-                 "500");
+  add_flags(cli, kClusterFlags);
 }
 
 /// Builds a ClusterConfig from the flags added above.
 inline cluster::ClusterConfig cluster_config_from_cli(const CliParser& cli) {
-  cluster::ClusterConfig config;
-  config.shards = static_cast<std::uint32_t>(cli.get_u64("shards"));
-  config.placement = cluster::parse_placement(cli.get_string("placement"));
-  config.spill_threshold = cli.get_double("spill-threshold");
-  config.vnodes = static_cast<std::uint32_t>(cli.get_u64("vnodes"));
-  config.replica_sites =
-      static_cast<std::uint32_t>(cli.get_u64("replica-sites"));
-  config.replicate_hot =
-      static_cast<std::uint32_t>(cli.get_u64("replicate-hot"));
-  config.remote_pool_cap = cli.get_u64("remote-pool-cap");
-  config.down_threshold =
-      static_cast<std::uint32_t>(cli.get_u64("down-threshold"));
-  config.probe_ms = cli.get_u64("probe-ms");
-  return config;
+  return read_flags(cli, kClusterFlags);
+}
+
+/// The argv a spawned fbcd shard inherits from an fbcgrid CLI: every
+/// service flag (with --shard-id set to `shard_id`), the scenario flags
+/// and --workers, so each shard builds the exact workload and serving
+/// stack the router plans against.
+inline std::vector<std::string> shard_daemon_args(const CliParser& cli,
+                                                  std::uint32_t shard_id) {
+  std::vector<std::string> args = {"--port=0",
+                                   "--shard-id=" + std::to_string(shard_id)};
+  for (const FlagField<service::ServiceConfig>& row : kServiceFlags) {
+    const std::string flag = row.flag;
+    if (flag != "shard-id")
+      args.push_back("--" + flag + "=" + cli.get_string(flag));
+  }
+  for (const char* flag : {"workers", "scenario", "wseed", "jobs", "tier-mix"})
+    args.push_back(std::string("--") + flag + "=" + cli.get_string(flag));
+  return args;
 }
 
 inline void place_tier_mix(MassStorageSystem& mss, const CliParser& cli);
