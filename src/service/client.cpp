@@ -1,5 +1,7 @@
 #include "service/client.hpp"
 
+#include "service/blocking.hpp"
+
 namespace fbc::service {
 
 BundleClient::BundleClient(std::uint16_t port, bool legacy_wire)
@@ -12,6 +14,11 @@ void BundleClient::reconnect() {
 }
 
 std::optional<Message> BundleClient::read_reply() {
+  Message message;
+  if (!legacy_wire_ && reader_.buffered_next(&message)) return message;
+  // The reply is still in flight: a daemon thread calling through a
+  // RemoteShard hands its loop off before waiting for it.
+  const BlockingRegion awaiting_reply;
   return legacy_wire_ ? recv_message(fd_.get()) : reader_.next(fd_.get());
 }
 

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "service/blocking.hpp"
+
 namespace fbc::service {
 
 void FetchCoalescer::begin_fetch(std::span<const FileId> files) {
@@ -34,6 +36,7 @@ CoalesceWait FetchCoalescer::wait_for(std::span<const FileId> files) {
   if (overlapping == 0) return result;
   ++coalesced_waits_;
   result.waited_files = overlapping;
+  const BlockingRegion blocked;
   const auto start = std::chrono::steady_clock::now();
   cv_.wait(lock, [&] {
     for (FileId id : files) {

@@ -123,12 +123,12 @@ FrameReader::Fill FrameReader::fill(int fd, bool block) {
                buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }
-  constexpr std::size_t kChunk = 16 * 1024;
+  const std::size_t chunk = recv_size();
   const std::size_t old_size = buf_.size();
-  buf_.resize(old_size + kChunk);
+  buf_.resize(old_size + chunk);
   for (;;) {
     const ssize_t n =
-        ::recv(fd, buf_.data() + old_size, kChunk, block ? 0 : MSG_DONTWAIT);
+        ::recv(fd, buf_.data() + old_size, chunk, block ? 0 : MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
       buf_.resize(old_size);
@@ -140,6 +140,14 @@ FrameReader::Fill FrameReader::fill(int fd, bool block) {
     buf_.resize(old_size + static_cast<std::size_t>(n));
     return n == 0 ? Fill::Eof : Fill::Data;
   }
+}
+
+std::size_t FrameReader::recv_size() const {
+  if (!frame_at_a_time_) return 16 * 1024;
+  if (have() < kFrameHeaderBytes) return kFrameHeaderBytes - have();
+  const FrameHeader header =
+      decode_header({buf_.data() + pos_, kFrameHeaderBytes});
+  return kFrameHeaderBytes + header.payload_len - have();
 }
 
 std::optional<Message> FrameReader::take() {
@@ -186,9 +194,7 @@ TryRecv FrameReader::try_next(int fd, Message* out) {
       *out = std::move(*message);
       return TryRecv::Got;
     }
-    // A partial frame in the buffer means the peer committed to it;
-    // finish it with a blocking read. Only a clean boundary probes.
-    switch (fill(fd, /*block=*/have() > 0)) {
+    switch (fill(fd, /*block=*/false)) {
       case Fill::Data:
         break;
       case Fill::Empty:

@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "core/registry.hpp"
+#include "service/blocking.hpp"
 #include "util/log.hpp"
 
 namespace fbc::service {
@@ -295,7 +296,10 @@ AcquireResult BundleServer::acquire(const Request& request) {
       const auto backoff =
           backoff_for(config_.retry_backoff_ms, waiter.failed_attempts);
       lock.unlock();  // keep our place in queue_, release mu_ for the sleep
-      std::this_thread::sleep_for(backoff);
+      {
+        const BlockingRegion backing_off;
+        std::this_thread::sleep_for(backoff);
+      }
       lock.lock();
       waiter.state = Waiter::State::Queued;
       drain_locked();
@@ -305,6 +309,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
     // Backoff after a failed draw) -- re-check before sleeping, or the
     // notify that happened inside drain_locked is a lost wakeup.
     if (drain_locked() > 0 || waiter.state != Waiter::State::Queued) continue;
+    const BlockingRegion parked;
     const auto wait_result = cv_.wait_until(lock, deadline);
     if (waiter.state != Waiter::State::Queued) continue;
     if (wait_result == std::cv_status::timeout) {
@@ -331,6 +336,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
   CoalesceWait cwait;
   if (!fetched.empty()) {
     if (config_.time_scale > 0.0 && stage_s > 0.0) {
+      const BlockingRegion staging;
       std::this_thread::sleep_for(std::chrono::duration<double>(
           stage_s * config_.time_scale));
     }

@@ -1,9 +1,10 @@
 // FrameReader tests over a Unix socketpair: burst decoding (many frames
 // from one write, one recv), the syscall-free buffered_next drain, the
-// non-blocking try_next state machine, and mid-frame EOF handling. These
-// pin the buffered transport the batched serving loop relies on --
-// legacy_wire bypasses this reader entirely, so its behavior is part of
-// the bench baseline/optimized contract.
+// non-blocking try_next state machine (a partial frame is Empty, never a
+// blocking read), frame-at-a-time reads, and mid-frame EOF handling. These
+// pin the buffered transport the batched serving loop relies on; the
+// daemon's legacy_wire loop reads frame at a time, so both modes are part
+// of the bench baseline/optimized contract.
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
@@ -105,6 +106,39 @@ TEST(FrameReader, TryNextReportsEmptyGotAndEof) {
 
   pair.a.reset();
   EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Eof);
+}
+
+TEST(FrameReader, TryNextReturnsEmptyOnAPartialFrame) {
+  SocketPair pair;
+  std::vector<std::uint8_t> frame;
+  encode_frame(Message{acquire_msg(9)}, &frame);
+  FrameReader reader;
+  Message out;
+  // One frame in two writes: the first half must not block the reader.
+  const std::size_t half = frame.size() / 2;
+  ASSERT_TRUE(write_full(pair.a.get(), frame.data(), half));
+  EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Empty);
+  ASSERT_TRUE(
+      write_full(pair.a.get(), frame.data() + half, frame.size() - half));
+  EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Got);
+  EXPECT_EQ(cookie_of(out), 9u);
+}
+
+TEST(FrameReader, FrameAtATimeReadsStopAtTheFrameBoundary) {
+  SocketPair pair;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t cookie = 1; cookie <= 2; ++cookie)
+    encode_frame(Message{acquire_msg(cookie)}, &burst);
+  ASSERT_TRUE(write_full(pair.a.get(), burst.data(), burst.size()));
+
+  FrameReader reader(/*frame_at_a_time=*/true);
+  Message out;
+  ASSERT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Got);
+  EXPECT_EQ(cookie_of(out), 1u);
+  // The second frame is still in the socket, not in the reader.
+  EXPECT_FALSE(reader.buffered_next(&out));
+  ASSERT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Got);
+  EXPECT_EQ(cookie_of(out), 2u);
 }
 
 TEST(FrameReader, MidFrameEofThrows) {

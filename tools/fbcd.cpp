@@ -34,7 +34,10 @@ int main(int argc, char** argv) {
   tools::add_service_options(cli);
   tools::add_scenario_options(cli);
   cli.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "7401");
-  cli.add_option("workers", "connection handler threads", "8");
+  cli.add_option("workers",
+                 "threads that take turns running the event loop; bounds "
+                 "calls parked in a wait, not open connections",
+                 "8");
 
   try {
     cli.parse(argc, argv);
