@@ -1,8 +1,10 @@
 // ClusterRouter tests: construction validation, single-shard lease
 // tagging, scatter/gather lease conjunction, the partial-grant rollback
 // regression (one shard QueueFull => no shard left pinned), release of
-// unknown leases, merged stats/metrics, close semantics, and a
-// concurrent scatter/gather stress run with live per-shard audit threads.
+// unknown leases, merged stats/metrics, close semantics, a concurrent
+// scatter/gather stress run with live per-shard audit threads, and a
+// router behind BundleDaemon dealing new connections past a loop whose
+// runner waits in a call.
 #include "cluster/router.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +20,9 @@
 
 #include "cluster/shard.hpp"
 #include "grid/mss.hpp"
+#include "grid/transfer.hpp"
+#include "service/client.hpp"
+#include "service/daemon.hpp"
 #include "service/server.hpp"
 #include "util/rng.hpp"
 
@@ -336,6 +342,47 @@ TEST(ClusterRouter, ConcurrentScatterGatherStressWithLiveAudits) {
     EXPECT_TRUE(cluster.server(s).audit().empty()) << "shard " << s;
     EXPECT_EQ(cluster.server(s).stats().active_leases, 0u) << "shard " << s;
   }
+}
+
+TEST(ClusterRouter, DaemonDealsNewConnectionsPastALoopWaitingInACall) {
+  // A router gets a daemon loop per worker. A loop whose only connection
+  // waits in a call keeps its runner instead of handing off, so new
+  // connections must be dealt to another loop until the call returns.
+  ServiceConfig service = small_service();
+  const Cluster sizing = make_cluster(hash_cluster(2), 8, service);
+  const std::vector<FileId> bundle{0};
+  const double stage_s = TransferModel{}.stage_seconds(bundle, *sizing.mss);
+  ASSERT_GT(stage_s, 0.0);
+  service.time_scale = 2.5 / stage_s;  // staging file 0 sleeps 2.5 s
+  Cluster cluster = make_cluster(hash_cluster(2), 8, service);
+  service::BundleDaemon daemon(*cluster.router, /*port=*/0, /*workers=*/2);
+
+  // Dealt round-robin: `staging` to loop 0, `idle` to loop 1.
+  service::BundleClient staging(daemon.port());
+  while (daemon.connections_accepted() < 1) std::this_thread::yield();
+  const service::BundleClient idle(daemon.port());
+  while (daemon.connections_accepted() < 2) std::this_thread::yield();
+
+  const auto start = std::chrono::steady_clock::now();
+  std::future<AcquireResult> staged = std::async(
+      std::launch::async, [&] { return staging.acquire(bundle); });
+  while (cluster.router->stats().requests < 1) std::this_thread::yield();
+
+  // Next in turn is loop 0, asleep in the staging call: skip it.
+  std::future<service::ServiceStats> fresh =
+      std::async(std::launch::async, [&daemon] {
+        return service::BundleClient(daemon.port()).stats();
+      });
+  EXPECT_EQ(fresh.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_EQ(staged.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  const AcquireResult r = staged.get();
+  ASSERT_EQ(r.status, AcquireStatus::Ok);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(2));
+  EXPECT_TRUE(staging.release(r.lease));
+  EXPECT_EQ(fresh.get().requests, 1u);
 }
 
 }  // namespace
