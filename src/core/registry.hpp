@@ -2,30 +2,8 @@
 // The single entry point bench harnesses, examples and user code use to
 // instantiate policies uniformly.
 //
-// Known names:
-//   optfb            OptFileBundle, CacheResident history, Resort greedy
-//                    (the paper's recommended configuration)
-//   optfb-basic      ... with the Basic (single-sort) greedy
-//   optfb-seeded1    ... with the 1-seeded greedy
-//   optfb-seeded2    ... with the 2-seeded greedy (improved bound, slow)
-//   optfb-full       ... with untruncated history (+ step-3 prefetching)
-//   optfb-window     ... with sliding-window history
-//   optfb-bytes      ... with byte-weighted request values (targets byte
-//                        misses instead of request misses)
-//   landlord         bundle-adapted Landlord (paper Algorithm 3)
-//   landlord-size    Landlord with size-proportional credits
-//   dist-online      distributed online rule (Qin & Etesami): accumulating
-//                    equal bundle-cost credit shares, composable across
-//                    cluster shards
-//   lru, lfu, fifo   classic baselines adapted to bundles
-//   lru-2, lru-3     LRU-K (O'Neil et al.): K-th-reference recency
-//   gds-unit, gds-size, gds-fetch   GreedyDual-Size cost variants
-//   gdsf, gdsf-unit  GreedyDual-Size-Frequency (Cherkasova)
-//   random           uniform random eviction
-//   lookahead        clairvoyant farthest-next-use (needs the job stream)
-//   adaptive         set-dueling meta-policy: OptFileBundle vs Landlord vs
-//                    GDSF on sampled request subsets, scored against the
-//                    BundleOPTgen oracle, following the per-phase winner
+// The registered names, each with a one-line description, are the rows
+// of kPolicies in registry.cpp, in display order.
 #pragma once
 
 #include <optional>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -190,7 +191,7 @@ std::size_t BundleServer::drain_locked() {
       break;  // head-of-line: nothing behind it admits this pass
     }
     head.t_admit = Clock::now();
-    queue_.erase(queue_.begin() + idx);
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
     metrics_.record_queue_wait(
         static_cast<double>(admissions_ - head.admissions_at_enqueue));
     head.lease = admit_locked(*head.request, head.bundle_bytes,
@@ -204,7 +205,7 @@ std::size_t BundleServer::drain_locked() {
   if (admitted > 0) {
     cv_.notify_all();
     std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
-    batch_size_.record(admitted);
+    hists_[kBatchSize].record(admitted);
   }
   return admitted;
 }
@@ -354,15 +355,15 @@ AcquireResult BundleServer::acquire(const Request& request) {
   // Duration histograms are Ok-grants only: their counts tie to
   // stats().requests once in-flight acquires have drained.
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
-  queue_us_.record(us_between(t0, t_admit));
-  reserve_us_.record(us_between(t_admit, t_reserved));
-  fetch_us_.record(us_between(t_reserved, t_fetched));
-  total_us_.record(us_between(t0, t_end));
-  queue_depth_.record(queue_depth);
+  hists_[kQueueUs].record(us_between(t0, t_admit));
+  hists_[kReserveUs].record(us_between(t_admit, t_reserved));
+  hists_[kFetchUs].record(us_between(t_reserved, t_fetched));
+  hists_[kTotalUs].record(us_between(t0, t_end));
+  hists_[kQueueDepth].record(queue_depth);
   if (!fetched.empty()) ++*transfers_slot_;
   if (cwait.waited_files > 0) {
     ++*coalesced_slot_;
-    coalesce_us_.record(cwait.wait_us);
+    hists_[kCoalesceUs].record(cwait.wait_us);
   }
   ++*acquire_ok_slot_;
   return result;
@@ -388,7 +389,7 @@ bool BundleServer::release(LeaseId lease) {
   lock.unlock();
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   ++*release_ok_slot_;
-  hold_us_.record(held_us);
+  hists_[kHoldUs].record(held_us);
   return true;
 }
 
@@ -405,21 +406,28 @@ std::vector<FileId> BundleServer::resident_files() const {
   return files;
 }
 
+constexpr std::array<std::string_view, BundleServer::kHistCount>
+    BundleServer::kHistNames = {
+        "acquire.coalesce_us", "acquire.fetch_us",   "acquire.queue_depth",
+        "acquire.queue_us",    "acquire.reserve_us", "acquire.total_us",
+        "admit.batch_size",    "lease.hold_us",
+};
+
 MetricsSnapshot BundleServer::metrics() const {
   MetricsSnapshot m;
   m.stats = stats();
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   m.counters = counters_.snapshot();
-  // Names must stay lexicographically sorted: the wire encoder enforces
-  // strictly increasing histogram names (canonical frame form).
-  m.histograms.push_back({"acquire.coalesce_us", coalesce_us_});
-  m.histograms.push_back({"acquire.fetch_us", fetch_us_});
-  m.histograms.push_back({"acquire.queue_depth", queue_depth_});
-  m.histograms.push_back({"acquire.queue_us", queue_us_});
-  m.histograms.push_back({"acquire.reserve_us", reserve_us_});
-  m.histograms.push_back({"acquire.total_us", total_us_});
-  m.histograms.push_back({"admit.batch_size", batch_size_});
-  m.histograms.push_back({"lease.hold_us", hold_us_});
+  static_assert(std::ranges::none_of(kHistNames, &std::string_view::empty),
+                "every BundleServer::Hist needs a name in kHistNames");
+  // The wire encoder enforces strictly increasing histogram names
+  // (canonical frame form).
+  static_assert(std::ranges::adjacent_find(kHistNames,
+                                           std::greater_equal<>{}) ==
+                    kHistNames.end(),
+                "kHistNames must be strictly increasing");
+  for (std::size_t h = 0; h < kHistCount; ++h)
+    m.histograms.push_back({std::string(kHistNames[h]), hists_[h]});
   return m;
 }
 

@@ -49,6 +49,7 @@
 // abort at runtime on any inversion.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -329,20 +330,27 @@ class BundleServer : public ServingEndpoint {
   /// *after* mu_ (never the reverse -- level 40 vs 10) and held only for
   /// O(1) recording.
   // fbc:lock-level(40)
-  // fbc:guards(counters_, queue_us_, reserve_us_, fetch_us_, coalesce_us_)
-  // fbc:guards(total_us_, hold_us_, queue_depth_, batch_size_)
+  // fbc:guards(counters_, hists_)
   // fbc:guards(acquire_ok_slot_, release_ok_slot_, release_unknown_slot_)
   // fbc:guards(transfers_slot_, coalesced_slot_)
   mutable OrderedMutex obs_mu_{40, "BundleServer::obs_mu_"};
   obs::CounterRegistry counters_;  ///< acquire.* / release.* outcomes
-  obs::Histogram queue_us_;        ///< enqueue -> admission decision
-  obs::Histogram reserve_us_;      ///< admission -> space reserved + leased
-  obs::Histogram fetch_us_;        ///< reserve -> bundle resident
-  obs::Histogram coalesce_us_;     ///< blocked on an overlapping transfer
-  obs::Histogram total_us_;        ///< enqueue -> grant
-  obs::Histogram hold_us_;         ///< grant -> release
-  obs::Histogram queue_depth_;     ///< waiters ahead at enqueue
-  obs::Histogram batch_size_;      ///< admissions per non-empty drain pass
+  /// The exported histograms: metrics() sends hists_[h] as kHistNames[h]
+  /// (defined in server.cpp). The MetricsReply encoder needs the names
+  /// strictly increasing, so the enumerators follow their names' order.
+  enum Hist : std::size_t {
+    kCoalesceUs,  ///< blocked on an overlapping transfer
+    kFetchUs,     ///< reserve -> bundle resident
+    kQueueDepth,  ///< waiters ahead at enqueue
+    kQueueUs,     ///< enqueue -> admission decision
+    kReserveUs,   ///< admission -> space reserved + leased
+    kTotalUs,     ///< enqueue -> grant
+    kBatchSize,   ///< admissions per non-empty drain pass
+    kHoldUs,      ///< grant -> release
+    kHistCount
+  };
+  static const std::array<std::string_view, kHistCount> kHistNames;
+  std::array<obs::Histogram, kHistCount> hists_;
   /// Pre-resolved cells for the per-grant counters (CounterRegistry::slot
   /// pointers into counters_; map nodes are stable). Bumped under obs_mu_
   /// exactly like counters_.add(), minus the string lookup per request.

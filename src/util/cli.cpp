@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -78,13 +79,27 @@ std::string CliParser::get_string(const std::string& name) const {
   return find(name).value;
 }
 
+namespace {
+
+/// `text` parsed whole as a T, or nullopt: std::from_chars accepts no
+/// leading whitespace, no '+', no '-' for unsigned T, and the whole string
+/// must be consumed, so "-1", " 7" and "12abc" are all rejected.
+template <class T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 std::uint64_t CliParser::get_u64(const std::string& name) const {
   const std::string& v = find(name).value;
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " is not an unsigned integer: " + v);
-  }
+  if (const auto value = parse_whole<std::uint64_t>(v)) return *value;
+  throw std::invalid_argument("option --" + name +
+                              " is not an unsigned integer: " + v);
 }
 
 std::uint32_t CliParser::get_u32(const std::string& name) const {
@@ -97,20 +112,14 @@ std::uint32_t CliParser::get_u32(const std::string& name) const {
 
 std::int64_t CliParser::get_i64(const std::string& name) const {
   const std::string& v = find(name).value;
-  try {
-    return std::stoll(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " is not an integer: " + v);
-  }
+  if (const auto value = parse_whole<std::int64_t>(v)) return *value;
+  throw std::invalid_argument("option --" + name + " is not an integer: " + v);
 }
 
 double CliParser::get_double(const std::string& name) const {
   const std::string& v = find(name).value;
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " is not a number: " + v);
-  }
+  if (const auto value = parse_whole<double>(v)) return *value;
+  throw std::invalid_argument("option --" + name + " is not a number: " + v);
 }
 
 bool CliParser::get_flag(const std::string& name) const {

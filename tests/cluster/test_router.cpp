@@ -306,7 +306,7 @@ TEST(ClusterRouter, ConcurrentScatterGatherStressWithLiveAudits) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
     workers.emplace_back([&cluster, &failed, w] {
-      Rng rng(0x57a4e55ULL + static_cast<std::uint64_t>(w));
+      Rng rng(std::uint64_t{0x57a4e55} + static_cast<std::uint64_t>(w));
       std::vector<service::LeaseId> held;
       for (int iter = 0; iter < 200; ++iter) {
         const std::size_t picks = 1 + rng.index(4);

@@ -177,7 +177,9 @@ void run_shared_miss(bool coalesce) {
   for (const auto& named : m.histograms)
     if (named.name == "acquire.coalesce_us") coalesce_count = named.hist.count();
   EXPECT_EQ(counter_value(m, "acquire.coalesced"), coalesce_count);
-  if (!coalesce) EXPECT_EQ(coalesce_count, 0u);
+  if (!coalesce) {
+    EXPECT_EQ(coalesce_count, 0u);
+  }
   EXPECT_TRUE(server.audit().empty());
 }
 

@@ -150,14 +150,13 @@ ProjectModel case3_model() {
   return build_model(std::move(files));
 }
 
-/// Lexes the case2 service fixture (anchors + codec + wire docs on disk)
-/// into a project model, as `fbclint <fixture>/case2` would.
+/// Lexes the case2 service fixture (anchors + wire docs on disk) into a
+/// project model, as `fbclint <fixture>/case2` would.
 ProjectModel case2_model() {
   const std::string root = std::string(FBCLINT_FIXTURE_DIR) + "/case2";
   std::vector<SourceFile> files;
-  for (const char* rel :
-       {"/src/service/server.hpp", "/src/service/server.cpp",
-        "/src/service/protocol.hpp", "/src/service/protocol.cpp"}) {
+  for (const char* rel : {"/src/service/server.hpp", "/src/service/server.cpp",
+                          "/src/service/protocol.hpp"}) {
     const std::string path = root + rel;
     files.push_back(lex_file(path, slurp(path)));
   }
@@ -279,20 +278,19 @@ TEST(FbclintL007, UnlockRelockKeepsTrackingTheGuard) {
 TEST(FbclintL008, CatchesEverySeededCoherenceGap) {
   const ProjectModel model = case2_model();
   const std::vector<Diagnostic> diags = rule_wire_coherence(model);
-  // protocol.hpp: missing | 2 | Pong | doc row, StatsReply field-count
-  // drift at the struct line, and the evictions field unset by stats().
-  // The codec walks a field list whose arity is checked at compile time,
-  // so the linter no longer looks for codec gaps.
+  // protocol.hpp: missing | 2 | Pong | doc row and the evictions field
+  // unset by stats(). The codec walks a field list whose arity is checked
+  // at compile time, and the SERVING.md StatsReply row names that list
+  // rather than counting it, so the linter checks neither.
   EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 10));
-  EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 18));
-  EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 22));
+  EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 20));
   EXPECT_EQ(std::count_if(diags.begin(), diags.end(),
-                          [](const Diagnostic& d) { return d.line == 22; }),
+                          [](const Diagnostic& d) { return d.line == 20; }),
             1)
       << "evictions should draw exactly one stats() diag";
   // server.cpp: the undocumented svc.hold_us metric literal.
-  EXPECT_TRUE(has_diag_at(diags, "L008", "service/server.cpp", 34));
-  EXPECT_EQ(diags.size(), 4u);
+  EXPECT_TRUE(has_diag_at(diags, "L008", "service/server.cpp", 22));
+  EXPECT_EQ(diags.size(), 3u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Serving-tool plumbing tests: the RetryBudget that caps cumulative
 // QueueFull backoff at the per-request timeout (the fbcload retry
-// regression), and the flag lists that map CLI flags onto ServiceConfig
-// and ClusterConfig for every serving tool, including fbcgrid's
-// forwarding of them to its fbcd shards.
+// regression), the flag lists that map CLI flags onto ServiceConfig and
+// ClusterConfig for every serving tool, including fbcgrid's forwarding of
+// them to its fbcd shards, and fbcsim's PolicyContext list.
 #include "tools/serving_common.hpp"
 
 #include <gtest/gtest.h>
@@ -183,6 +183,42 @@ TEST(ServingCommon, ClusterFlagsMapOntoEveryConfigField) {
   EXPECT_EQ(config.remote_pool_cap, 4u);
   EXPECT_EQ(config.down_threshold, 7u);
   EXPECT_EQ(config.probe_ms, 0u);
+}
+
+TEST(PolicyFlags, MapOntoEveryContextKnob) {
+  // fbcsim's list: every kPolicyFlags row set away from its default lands
+  // in its PolicyContext member; catalog and jobs have no row.
+  CliParser cli("fbcsim", "policy flag mapping");
+  add_flags(cli, kPolicyFlags);
+  cli.parse({"--seed=9", "--window=250", "--aging=0.5", "--history-cap=40",
+             "--engine=incremental", "--duel-sample=3", "--duel-phase=17"});
+  const PolicyContext context = read_flags(cli, kPolicyFlags);
+  EXPECT_EQ(context.seed, 9u);
+  EXPECT_EQ(context.history_window_jobs, 250u);
+  EXPECT_DOUBLE_EQ(context.aging_factor, 0.5);
+  EXPECT_EQ(context.history_max_entries, 40u);
+  EXPECT_EQ(context.select_engine, SelectEngine::Incremental);
+  EXPECT_EQ(context.duel_sample_period, 3u);
+  EXPECT_EQ(context.duel_phase_jobs, 17u);
+  EXPECT_EQ(context.catalog, nullptr);
+  EXPECT_TRUE(context.jobs.empty());
+}
+
+TEST(PolicyFlags, DefaultsComeFromTheContextTheToolPasses) {
+  // fbcsim keeps --seed=1 although PolicyContext defaults to 0x5eed.
+  PolicyContext defaults;
+  defaults.seed = 1;
+  CliParser cli("fbcsim", "policy flag defaults");
+  add_flags(cli, kPolicyFlags, defaults);
+  cli.parse(std::vector<std::string>{});
+  const PolicyContext context = read_flags(cli, kPolicyFlags);
+  EXPECT_EQ(context.seed, 1u);
+  EXPECT_EQ(context.history_window_jobs, defaults.history_window_jobs);
+  EXPECT_DOUBLE_EQ(context.aging_factor, defaults.aging_factor);
+  EXPECT_EQ(context.history_max_entries, defaults.history_max_entries);
+  EXPECT_EQ(context.select_engine, defaults.select_engine);
+  EXPECT_EQ(context.duel_sample_period, defaults.duel_sample_period);
+  EXPECT_EQ(context.duel_phase_jobs, defaults.duel_phase_jobs);
 }
 
 TEST(ServingCommon, NarrowFlagsRejectValuesThatWouldWrap) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace fbc {
 namespace {
@@ -70,6 +71,41 @@ TEST(Cli, BadNumberThrows) {
   CliParser cli = make_parser();
   cli.parse({"--jobs=notanumber"});
   EXPECT_THROW((void)cli.get_u64("jobs"), std::invalid_argument);
+}
+
+TEST(Cli, NumbersMustBeTheWholeValue) {
+  // std::stoull read "-1" as 2^64-1 and "12abc" as 12, so
+  // `fbcd --workers=-1` reached the daemon as 18446744073709551615.
+  CliParser cli("p", "d");
+  cli.add_option("n", "unsigned", "0");
+  cli.add_option("i", "signed", "0");
+  cli.add_option("x", "real", "0");
+  for (const char* bad : {"-1", "+1", " 7", "7 ", "12abc", "", "0x10",
+                          "18446744073709551616"}) {
+    cli.parse({std::string("--n=") + bad});
+    EXPECT_THROW((void)cli.get_u64("n"), std::invalid_argument) << bad;
+    EXPECT_THROW((void)cli.get_u32("n"), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"+3", " -3", "-3x", "1.5"}) {
+    cli.parse({std::string("--i=") + bad});
+    EXPECT_THROW((void)cli.get_i64("i"), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"+0.5", " 0.5", "0.5s", "1e", ""}) {
+    cli.parse({std::string("--x=") + bad});
+    EXPECT_THROW((void)cli.get_double("x"), std::invalid_argument) << bad;
+  }
+  try {
+    cli.parse({"--n=-1"});
+    (void)cli.get_u64("n");
+    FAIL() << "--n=-1 parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--n"), std::string::npos)
+        << e.what();
+  }
+  cli.parse({"--n=18446744073709551615", "--i=-9", "--x=1e-4"});
+  EXPECT_EQ(cli.get_u64("n"), 18446744073709551615u);
+  EXPECT_EQ(cli.get_i64("i"), -9);
+  EXPECT_DOUBLE_EQ(cli.get_double("x"), 1e-4);
 }
 
 TEST(Cli, FlagWithBadValueThrows) {

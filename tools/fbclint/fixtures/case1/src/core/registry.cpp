@@ -1,27 +1,3 @@
-#include "core/registry.hpp"
-
+// Fixture registry: includes alpha.hpp but not beta.hpp (the seeded L003
+// gap, flagged at beta.hpp).
 #include "policies/alpha.hpp"
-// NOTE: policies/beta.hpp is deliberately not included (seeded L003).
-
-namespace fx {
-
-class PolicyStub {};
-
-PolicyStub make_policy(const char* name, const PolicyContext& context) {
-  (void)context;
-  const char* n = name;
-  std::string probe(n);
-  if (probe == "alpha") return PolicyStub{};
-  // Seeded bug: "ghost" is accepted here but policy_names() below does
-  // not list it, so --policy=all sweeps would silently skip it.
-  if (probe == "ghost") return PolicyStub{};  // fbclint:expect(L003)
-  return PolicyStub{};
-}
-
-// Seeded bug: "missing" is advertised but make_policy() cannot build it.
-// fbclint:expect(L003)
-std::vector<std::string> policy_names() {
-  return {"alpha", "missing"};
-}
-
-}  // namespace fx

@@ -1,4 +1,4 @@
-// Fixture protocol: three message types the codec switches must cover.
+// Fixture protocol: three message types the docs wire table must list.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +12,7 @@ enum class MsgType : std::uint8_t {
 };
 
 /// Wire stats block (L008): every field must be assigned by
-/// BundleServer::stats() and counted by the StatsReply row of the docs
-/// wire table -- which here still says 2.
-// fbclint:expect(L008)
+/// BundleServer::stats().
 struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t hits = 0;

@@ -1,19 +1,7 @@
-// Fixture serving metrics export: metrics() reads the queue histogram
-// and the counters but forgets hold_us_ (the seeded L004 export gap in
-// server.hpp).
+// Fixture serving layer: stats() and the metric names it exports.
 #include "server.hpp"
 
-#include "service/protocol.hpp"
-
 namespace fx2 {
-
-void export_histogram(const char* name, const Histogram* hist);
-void export_counters(const CounterRegistry* counters);
-
-void BundleServer::metrics() const {
-  export_histogram("queue_us", queue_us_);
-  export_counters(counters_);
-}
 
 void export_counter(const char* name, unsigned long long value);
 

@@ -1,22 +1,14 @@
-// Fixture serving layer: the anchor L004's export scan and L008's docs
-// lookup key on.
+// Fixture serving layer: the anchor L008's docs lookup keys on.
 #pragma once
+
+#include "service/protocol.hpp"
 
 namespace fx2 {
 
-class Histogram;
-class CounterRegistry;
-
-/// Serving layer whose observability members must all be exported by
-/// metrics(); the hold-time histogram is a seeded L004 export gap.
 class BundleServer {
  public:
-  void metrics() const;
-
- private:
-  Histogram* queue_us_;
-  Histogram* hold_us_;  // fbclint:expect(L004) not exported by metrics()
-  CounterRegistry* counters_;
+  ServiceStats stats() const;
+  void counters() const;
 };
 
 }  // namespace fx2

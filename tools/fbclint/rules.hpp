@@ -1,21 +1,20 @@
-// fbclint rules L001..L006 (see docs/STATIC-ANALYSIS.md for the rationale
+// fbclint rules L001..L008 (see docs/STATIC-ANALYSIS.md for the rationale
 // and the historical bug behind each rule).
 //
 //   L001 view-lifetime        temporary owning value passed to a
 //                             std::span / std::string_view parameter
 //   L002 hook completeness    adapter classes must forward every virtual
 //                             of the interface they wrap
-//   L003 registry/CLI         policies registered + context knobs surfaced,
-//                             MsgType codec switches exhaustive
+//   L003 registry             every policy header included by the registry
 //   L004 metrics completeness counters present in merge() and
 //                             default-initialized
 //   L005 determinism          no rand/time/mt19937/unordered iteration
 //   L006 header hygiene       #pragma once, no `using namespace` in headers
 //   L007 lock discipline      fbc:lock-level ordering, fbc:guards coverage,
 //                             no blocking calls under a level-tagged lock
-//   L008 wire/stat coherence  ServiceStats fields appear in stats() and
-//                             the SERVING.md wire table, metric names in
-//                             the docs
+//   L008 wire/stat coherence  ServiceStats fields assigned by stats(),
+//                             MsgType values in the SERVING.md wire table,
+//                             metric names in the docs
 #pragma once
 
 #include <vector>

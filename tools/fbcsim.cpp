@@ -16,6 +16,7 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "flag_table.hpp"
 #include "cache/simulator.hpp"
 #include "core/bounds.hpp"
 #include "core/optgen.hpp"
@@ -69,24 +70,12 @@ int main(int argc, char** argv) {
   cli.add_option("cache", "cache capacity", "10GiB");
   cli.add_option("queue", "admission queue length (1 = FCFS)", "1");
   cli.add_option("queue-mode", "batch|sliding (for queue > 1)", "batch");
-  cli.add_option("aging", "queue aging factor for optfb* policies", "0");
-  cli.add_option("history-cap",
-                 "bounded-memory history entries for optfb* (0 = unbounded)",
-                 "0");
-  cli.add_option("window", "sliding-window length in jobs for optfb-window",
-                 "1000");
   cli.add_option("warmup", "warm-up jobs excluded from metrics", "0");
-  cli.add_option("seed", "seed for stochastic policies", "1");
-  cli.add_option("engine",
-                 "selection engine for optfb* policies: "
-                 "reference|incremental (identical results; incremental "
-                 "rescores only dirty history entries per miss)",
-                 "reference");
-  cli.add_option("duel-sample",
-                 "adaptive: one request in N joins the set-dueling sample",
-                 "8");
-  cli.add_option("duel-phase",
-                 "adaptive: leader re-election interval, in arrivals", "64");
+  // fbcsim's --seed default predates PolicyContext's and stays: it picks
+  // every `random` row fbcsim has printed.
+  PolicyContext policy_defaults;
+  policy_defaults.seed = 1;
+  tools::add_flags(cli, tools::kPolicyFlags, policy_defaults);
   cli.add_option("optgen-window",
                  "BundleOPTgen ring-buffer horizon, in jobs (--optgen)",
                  "4096");
@@ -111,8 +100,9 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unknown --queue-mode: " + queue_mode);
     }
 
-    const SelectEngine engine =
-        parse_select_engine(cli.get_string("engine"));
+    PolicyContext context = tools::read_flags(cli, tools::kPolicyFlags);
+    context.catalog = &trace.catalog;
+    context.jobs = trace.jobs;
 
     std::vector<std::string> policies;
     if (cli.get_string("policy") == "all") {
@@ -126,16 +116,6 @@ int main(int argc, char** argv) {
     TextTable obs_table({"policy", "metric", "count", "mean", "p50", "p95",
                          "p99", "max"});
     for (const std::string& name : policies) {
-      PolicyContext context;
-      context.catalog = &trace.catalog;
-      context.jobs = trace.jobs;
-      context.seed = cli.get_u64("seed");
-      context.aging_factor = cli.get_double("aging");
-      context.history_max_entries = cli.get_u64("history-cap");
-      context.history_window_jobs = cli.get_u64("window");
-      context.select_engine = engine;
-      context.duel_sample_period = cli.get_u64("duel-sample");
-      context.duel_phase_jobs = cli.get_u64("duel-phase");
       PolicyPtr policy = make_policy(name, context);
       const SimulationResult result =
           simulate(config, trace.catalog, *policy, trace.jobs);

@@ -1,152 +1,48 @@
 // Shared CLI plumbing for the serving tools (fbcd, fbcload, fbcgrid).
 //
 // ServiceConfig and ClusterConfig each have one flag list here
-// (kServiceFlags, kClusterFlags): registration, parsing, --help defaults
-// and fbcgrid's forwarding to its fbcd shards are all generated from it,
-// and a static_assert next to each list fails the build when the struct
-// gains a member without a row. The tools must also build the *same*
-// workload from the same scenario flags: fbcd serves the catalog, fbcload
-// replays the job stream against it, and because generation is
-// seed-deterministic the processes agree on every file id and size
-// without exchanging anything but the flags.
+// (kServiceFlags, kClusterFlags, built with tools/flag_table.hpp):
+// registration, parsing, --help defaults and fbcgrid's forwarding to its
+// fbcd shards are all generated from it, and a static_assert next to each
+// list fails the build when the struct gains a member without a row. The
+// tools must also build the *same* workload from the same scenario flags:
+// fbcd serves the catalog, fbcload replays the job stream against it, and
+// because generation is seed-deterministic the processes agree on every
+// file id and size without exchanging anything but the flags.
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <charconv>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cluster/config.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard.hpp"
-#include "core/incremental_select.hpp"
-#include "core/registry.hpp"
+#include "flag_table.hpp"
 #include "grid/mss.hpp"
 #include "grid/replica.hpp"
 #include "service/server.hpp"
 #include "testing/oracles.hpp"
-#include "util/bytes.hpp"
-#include "util/cli.hpp"
-#include "util/member_count.hpp"
 #include "util/rng.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/workload.hpp"
 
 namespace fbc::tools {
 
-/// Tags for flag_row's `As` parameter: a Bytes member read with
-/// parse_bytes ("512MiB"), and a bool member set by a switch that turns it
-/// *off* (--no-coalesce).
-struct ByteSize {};
-struct Inverted {};
-
-/// One CLI flag bound to one member of config struct `C`. `read` parses
-/// the flag into its member; `show` renders the member as flag text, so a
-/// default-constructed C supplies the --help default and the struct's own
-/// initializer stays the only place a default is written. Switches (bare
-/// --flag, off by default) have no `show`.
-template <class C>
-struct FlagField {
-  const char* flag;
-  const char* help;
-  void (*read)(const CliParser& cli, const char* flag, C& config);
-  std::string (*show)(const C& config);
-};
-
-namespace detail {
-
-template <class>
-struct MemberOf;
-template <class C, class T>
-struct MemberOf<T C::*> {
-  using owner = C;
-  using type = T;
-};
-
-template <class As>
-auto read_value(const CliParser& cli, const std::string& flag) {
-  if constexpr (std::is_same_v<As, ByteSize>) {
-    return parse_bytes(cli.get_string(flag));
-  } else if constexpr (std::is_same_v<As, Inverted>) {
-    return !cli.get_flag(flag);
-  } else if constexpr (std::is_same_v<As, bool>) {
-    return cli.get_flag(flag);
-  } else if constexpr (std::is_same_v<As, std::string>) {
-    return cli.get_string(flag);
-  } else if constexpr (std::is_same_v<As, double>) {
-    return cli.get_double(flag);
-  } else if constexpr (std::is_same_v<As, service::AdmitOrder>) {
-    return service::parse_admit_order(cli.get_string(flag));
-  } else if constexpr (std::is_same_v<As, SelectEngine>) {
-    return parse_select_engine(cli.get_string(flag));
-  } else if constexpr (std::is_same_v<As, cluster::PlacementMode>) {
-    return cluster::parse_placement(cli.get_string(flag));
-  } else if constexpr (sizeof(As) == sizeof(std::uint32_t)) {
-    return cli.get_u32(flag);
-  } else {
-    static_assert(std::is_unsigned_v<As> && sizeof(As) == 8);
-    return cli.get_u64(flag);
-  }
+template <>
+inline service::AdmitOrder parse_enum<service::AdmitOrder>(
+    const std::string& text) {
+  return service::parse_admit_order(text);
 }
 
-template <class As, class T>
-std::string show_value(const T& value) {
-  if constexpr (std::is_same_v<As, ByteSize>) {
-    return format_bytes(value);
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    return value;
-  } else if constexpr (std::is_same_v<T, double>) {
-    char buf[32];
-    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
-  } else if constexpr (std::is_enum_v<T>) {
-    return to_string(value);
-  } else {
-    return std::to_string(value);
-  }
-}
-
-}  // namespace detail
-
-/// The FlagField of `Member`, parsed and shown according to `As` (the
-/// member's own type unless a ByteSize / Inverted tag says otherwise).
-template <auto Member,
-          class As = typename detail::MemberOf<decltype(Member)>::type>
-constexpr auto flag_row(const char* flag, const char* help) {
-  using C = typename detail::MemberOf<decltype(Member)>::owner;
-  FlagField<C> row{flag, help, nullptr, nullptr};
-  row.read = [](const CliParser& cli, const char* f, C& c) {
-    c.*Member = detail::read_value<As>(cli, f);
-  };
-  if constexpr (!std::is_same_v<As, bool> && !std::is_same_v<As, Inverted>)
-    row.show = [](const C& c) { return detail::show_value<As>(c.*Member); };
-  return row;
-}
-
-/// Registers one flag per row, with defaults from a default-constructed C.
-template <class C, std::size_t N>
-void add_flags(CliParser& cli, const std::array<FlagField<C>, N>& rows) {
-  const C defaults{};
-  for (const FlagField<C>& row : rows) {
-    if (row.show == nullptr) {
-      cli.add_flag(row.flag, row.help);
-    } else {
-      cli.add_option(row.flag, row.help, row.show(defaults));
-    }
-  }
-}
-
-/// Builds a C from the flags add_flags registered.
-template <class C, std::size_t N>
-C read_flags(const CliParser& cli, const std::array<FlagField<C>, N>& rows) {
-  C config;
-  for (const FlagField<C>& row : rows) row.read(cli, row.flag, config);
-  return config;
+template <>
+inline cluster::PlacementMode parse_enum<cluster::PlacementMode>(
+    const std::string& text) {
+  return cluster::parse_placement(text);
 }
 
 /// The flag list of service::ServiceConfig: fbcd, fbcload and fbcgrid
