@@ -20,7 +20,7 @@ input, so several differently-configured runs can be merged:
     fbcload --inline --json --scenario=henp  > henp.json
     fbcload --inline --json --scenario=climate > climate.json
     bench_to_json.py --name serving henp.json climate.json \
-        --out BENCH_serving.json
+        --out serving-adhoc.json
 
 CSV cells that parse as numbers are emitted as numbers, mirroring
 TextTable::print_json.

@@ -102,10 +102,6 @@ class AdaptivePolicy final : public ReplacementPolicy {
   [[nodiscard]] std::span<const std::size_t> winner_history() const noexcept {
     return winner_history_;
   }
-  /// Current-phase duel scores, indexed like the contenders.
-  [[nodiscard]] std::span<const double> scores() const noexcept {
-    return scores_;
-  }
   [[nodiscard]] std::size_t contender_count() const noexcept {
     return contenders_.size();
   }

@@ -4,8 +4,8 @@
 
 namespace fbc::service {
 
-BundleClient::BundleClient(std::uint16_t port, bool legacy_wire)
-    : fd_(connect_loopback(port)), port_(port), legacy_wire_(legacy_wire) {}
+BundleClient::BundleClient(std::uint16_t port)
+    : fd_(connect_loopback(port)), port_(port) {}
 
 void BundleClient::reconnect() {
   fd_.reset();
@@ -15,11 +15,11 @@ void BundleClient::reconnect() {
 
 std::optional<Message> BundleClient::read_reply() {
   Message message;
-  if (!legacy_wire_ && reader_.buffered_next(&message)) return message;
+  if (reader_.buffered_next(&message)) return message;
   // The reply is still in flight: a daemon thread calling through a
   // RemoteShard hands its loop off before waiting for it.
   const BlockingRegion awaiting_reply;
-  return legacy_wire_ ? recv_message(fd_.get()) : reader_.next(fd_.get());
+  return reader_.next(fd_.get());
 }
 
 Message BundleClient::round_trip(const Message& request) {

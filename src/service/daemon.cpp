@@ -35,8 +35,7 @@ void set_nonblocking(int fd) {
 }  // namespace
 
 struct BundleDaemon::Connection {
-  Connection(int raw_fd, Loop& home, bool legacy_wire)
-      : fd(raw_fd), loop(home), reader(/*frame_at_a_time=*/legacy_wire) {}
+  Connection(int raw_fd, Loop& home) : fd(raw_fd), loop(home) {}
   // epoll holds the address.
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
@@ -122,7 +121,7 @@ class BundleDaemon::Turn final : public HandOff {
 
 BundleDaemon::BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
                            std::size_t workers)
-    : endpoint_(endpoint), legacy_wire_(endpoint.legacy_wire()) {
+    : endpoint_(endpoint) {
   // Bind in the body: listen_loopback writes port_, which a member
   // initializer for listen_fd_ would race with port_'s own default init.
   listen_fd_ = listen_loopback(port, &port_);
@@ -257,7 +256,7 @@ void BundleDaemon::accept_ready(Loop& own) {
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
     set_nodelay(fd);  // replies pipeline; Nagle would stall the 2nd frame
-    auto owned = std::make_unique<Connection>(fd, deal(own), legacy_wire_);
+    auto owned = std::make_unique<Connection>(fd, deal(own));
     Connection& conn = *owned;
     {
       std::lock_guard<OrderedMutex> lock(standby_mu_);
@@ -297,8 +296,7 @@ bool BundleDaemon::serve(Connection& conn) {
     }
     // The burst is the frame in hand plus every complete frame the same
     // read pulled in (a pipelined client writes several per send); their
-    // replies leave in one send. A legacy reader never holds a second
-    // frame, so there each reply gets its own send.
+    // replies leave in one send.
     do {
       encode_frame(handle(conn, message), &conn.outbox);
     } while (conn.reader.buffered_next(&message));

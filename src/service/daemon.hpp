@@ -112,7 +112,6 @@ class BundleDaemon {
   void close_connection(Connection& conn);
 
   ServingEndpoint& endpoint_;
-  const bool legacy_wire_;
   UniqueFd listen_fd_;
   std::vector<Loop> loops_;  ///< fixed once serving
   UniqueFd wake_fd_;  ///< eventfd: stop() wakes every loop through it

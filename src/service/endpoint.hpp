@@ -60,9 +60,9 @@ class ServingEndpoint {
   /// Identity for HelloReply frames.
   [[nodiscard]] virtual EndpointInfo info() const = 0;
 
-  /// True when the daemon should read each connection frame at a time
-  /// and send every reply on its own (the pre-batching transport).
-  [[nodiscard]] virtual bool legacy_wire() const = 0;
+  /// Nothing reads this. It stays only because ledger/seams.hpp
+  /// overrides it; delete both together.
+  [[nodiscard]] virtual bool legacy_wire() const { return false; }
 
   /// Wakes every queued waiter with Closed and rejects future acquires;
   /// release/stats keep working so draining clients can finish.

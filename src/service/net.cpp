@@ -123,7 +123,7 @@ FrameReader::Fill FrameReader::fill(int fd, bool block) {
                buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }
-  const std::size_t chunk = recv_size();
+  constexpr std::size_t chunk = 16 * 1024;
   const std::size_t old_size = buf_.size();
   buf_.resize(old_size + chunk);
   for (;;) {
@@ -140,14 +140,6 @@ FrameReader::Fill FrameReader::fill(int fd, bool block) {
     buf_.resize(old_size + static_cast<std::size_t>(n));
     return n == 0 ? Fill::Eof : Fill::Data;
   }
-}
-
-std::size_t FrameReader::recv_size() const {
-  if (!frame_at_a_time_) return 16 * 1024;
-  if (have() < kFrameHeaderBytes) return kFrameHeaderBytes - have();
-  const FrameHeader header =
-      decode_header({buf_.data() + pos_, kFrameHeaderBytes});
-  return kFrameHeaderBytes + header.payload_len - have();
 }
 
 std::optional<Message> FrameReader::take() {

@@ -96,13 +96,6 @@ enum class TryRecv {
 /// descriptor -- bytes buffered here are invisible to recv_message.
 class FrameReader {
  public:
-  /// `frame_at_a_time` sizes every recv to end at the current frame's
-  /// boundary (header, then payload): the pre-batching two-reads-per-frame
-  /// transport, which never buffers a second frame. The daemon's legacy
-  /// wire loop reads this way.
-  explicit FrameReader(bool frame_at_a_time = false)
-      : frame_at_a_time_(frame_at_a_time) {}
-
   /// Blocking read of the next message. nullopt on clean EOF at a frame
   /// boundary; throws ProtocolError/NetError like recv_message.
   [[nodiscard]] std::optional<Message> next(int fd);
@@ -125,8 +118,6 @@ class FrameReader {
 
   /// One recv into the tail of the buffer; Empty only when !block.
   Fill fill(int fd, bool block);
-  /// Bytes the next recv asks for (see frame_at_a_time).
-  [[nodiscard]] std::size_t recv_size() const;
   /// Decodes one message if the buffer holds a complete frame.
   [[nodiscard]] std::optional<Message> take();
   [[nodiscard]] std::size_t have() const noexcept {
@@ -135,7 +126,6 @@ class FrameReader {
 
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  ///< consumed prefix of buf_
-  bool frame_at_a_time_ = false;
 };
 
 /// Encodes and writes one frame. Returns false if the peer is gone.

@@ -161,7 +161,7 @@ LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
     // window between "reserved (files look resident)" and "in-flight set
     // updated". The coalescer mutex is a leaf, so mu_ -> coalescer is the
     // only order that ever occurs.
-    if (config_.coalesce) coalescer_.begin_fetch(missing);
+    coalescer_.begin_fetch(missing);
   }
   const LeaseId lease = leases_.grant(request, cache_);
   *fetched = std::move(missing);
@@ -334,21 +334,18 @@ AcquireResult BundleServer::acquire(const Request& request) {
 
   // Fetch phase: the bundle is reserved (pinned), so the simulated
   // transfer can proceed without the lock while other admissions overlap.
-  CoalesceWait cwait;
   if (!fetched.empty()) {
     if (config_.time_scale > 0.0 && stage_s > 0.0) {
       const BlockingRegion staging;
       std::this_thread::sleep_for(std::chrono::duration<double>(
           stage_s * config_.time_scale));
     }
-    if (config_.coalesce) coalescer_.complete_fetch(fetched);
+    coalescer_.complete_fetch(fetched);
   }
   const auto t_fetched = Clock::now();
-  if (config_.coalesce) {
-    // Our own files are complete by now; this blocks only when another
-    // admission's transfer still has part of our bundle in flight.
-    cwait = coalescer_.wait_for(request.files);
-  }
+  // Our own files are complete by now; this blocks only when another
+  // admission's transfer still has part of our bundle in flight.
+  const CoalesceWait cwait = coalescer_.wait_for(request.files);
   result.status = AcquireStatus::Ok;
 
   const auto t_end = Clock::now();

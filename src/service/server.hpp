@@ -136,22 +136,12 @@ struct ServiceConfig {
   /// lock and the selection re-score across up to this many grants with
   /// identical decisions.
   std::size_t admission_batch = 8;
-  /// Coalesce concurrent fetches: a granted request whose bundle overlaps
-  /// a transfer still in flight waits for that transfer instead of
-  /// starting its job before the bytes arrive (0 disables, restoring the
-  /// pre-coalescing fire-and-forget grant).
-  bool coalesce = true;
   /// Debug/test builds: run the Reference engine in lock-step shadow next
   /// to the configured one and assert bit-identical decisions (requires a
   /// policy_factory that honors it, e.g. the serving tools' --shadow-diff
   /// wiring through testing::make_shadow_policy; a divergence throws out
   /// of acquire()).
   bool shadow_diff = false;
-  /// Pre-batching wire loop: one frame per recv pair and one send per
-  /// reply, exactly the serial transport this PR series replaced. The
-  /// serving bench gate runs its baseline leg with this on so the
-  /// speedup is measured against the old stack, not a hybrid.
-  bool legacy_wire = false;
   /// Position of this server in its cluster (reported in HelloReply);
   /// 0 for a standalone fbcd.
   std::uint32_t shard_id = 0;
@@ -213,10 +203,6 @@ class BundleServer : public ServingEndpoint {
   /// A single shard: shard_id from the config, shard_count 1.
   [[nodiscard]] EndpointInfo info() const override {
     return {EndpointRole::Shard, config_.shard_id, 1};
-  }
-
-  [[nodiscard]] bool legacy_wire() const override {
-    return config_.legacy_wire;
   }
 
   /// Sorted snapshot of the resident file set. The deterministic

@@ -447,13 +447,13 @@ ClusterTraceParts cluster_instance_from_trace(const Trace& trace) {
     throw std::runtime_error(
         "cluster reproducer needs shards/placement/vnodes/spill_threshold "
         "meta");
-  parts.cluster.shards = static_cast<std::uint32_t>(std::stoul(*shards));
+  parts.cluster.shards = meta_number<std::uint32_t>("shards", *shards);
   parts.cluster.placement = cluster::parse_placement(*placement);
-  parts.cluster.vnodes = static_cast<std::uint32_t>(std::stoul(*vnodes));
-  parts.cluster.spill_threshold = std::stod(*spill);
-  if (const std::string* threshold = trace.meta_value("down_threshold"))
-    parts.cluster.down_threshold =
-        static_cast<std::uint32_t>(std::stoul(*threshold));
+  parts.cluster.vnodes = meta_number<std::uint32_t>("vnodes", *vnodes);
+  parts.cluster.spill_threshold =
+      meta_number<double>("spill_threshold", *spill);
+  parts.cluster.down_threshold = meta_number_or(
+      trace, "down_threshold", parts.cluster.down_threshold);
   if (const std::string* plan = trace.meta_value("faults")) {
     std::istringstream in(*plan);
     std::string clause;
@@ -466,9 +466,9 @@ ClusterTraceParts cluster_instance_from_trace(const Trace& trace) {
                                  "faults clause: " +
                                  clause);
       FaultEvent event;
-      event.wave = std::stoul(clause.substr(0, first));
-      event.shard = static_cast<std::uint32_t>(
-          std::stoul(clause.substr(first + 1, second - first - 1)));
+      event.wave = meta_number<std::size_t>("faults", clause.substr(0, first));
+      event.shard = meta_number<std::uint32_t>(
+          "faults", clause.substr(first + 1, second - first - 1));
       const std::string verb = clause.substr(second + 1);
       if (verb != "kill" && verb != "revive")
         throw std::runtime_error("cluster reproducer has a malformed "

@@ -443,19 +443,13 @@ std::vector<Violation> replay_reproducer(const Trace& trace) {
 
   if (*kind == "select") {
     const SelectInstance instance = select_instance_from_trace(trace);
-    std::uint64_t budget = 0;
-    if (const std::string* nodes = trace.meta_value("exact_nodes"))
-      budget = std::stoull(*nodes);
-    return check_select_instance(instance, budget);
+    return check_select_instance(
+        instance, meta_number_or<std::uint64_t>(trace, "exact_nodes", 0));
   }
   if (*kind == "serve") {
     const SchedInstance instance = sched_instance_from_trace(trace);
-    std::size_t batch = 4;
-    if (const std::string* b = trace.meta_value("batch"))
-      batch = std::stoull(*b);
-    std::uint64_t seed = 1;
-    if (const std::string* s = trace.meta_value("serve_seed"))
-      seed = std::stoull(*s);
+    const auto batch = meta_number_or<std::size_t>(trace, "batch", 4);
+    const auto seed = meta_number_or<std::uint64_t>(trace, "serve_seed", 1);
     if (std::optional<Violation> v = check_schedule(instance, batch, seed))
       return {std::move(*v)};
     return {};
@@ -465,9 +459,7 @@ std::vector<Violation> replay_reproducer(const Trace& trace) {
         cluster_instance_from_trace(trace);
     std::string policy = "optfb";
     if (const std::string* p = trace.meta_value("policy")) policy = *p;
-    std::uint64_t seed = 1;
-    if (const std::string* s = trace.meta_value("cluster_seed"))
-      seed = std::stoull(*s);
+    const auto seed = meta_number_or<std::uint64_t>(trace, "cluster_seed", 1);
     if (std::optional<Violation> v =
             check_cluster(instance, cluster, faults, policy, seed))
       return {std::move(*v)};
@@ -479,16 +471,14 @@ std::vector<Violation> replay_reproducer(const Trace& trace) {
       throw std::runtime_error(
           "replay: optgen reproducer needs 'cache_bytes' meta");
     OptgenCheckConfig check;
-    check.cache_bytes = std::stoull(*cache_bytes);
-    if (const std::string* window = trace.meta_value("window"))
-      check.window_quanta = std::stoull(*window);
+    check.cache_bytes = meta_number<Bytes>("cache_bytes", *cache_bytes);
+    check.window_quanta = meta_number_or(trace, "window", check.window_quanta);
     if (const std::string* names = trace.meta_value("policies")) {
       std::istringstream row(*names);
       std::string name;
       while (row >> name) check.policies.push_back(name);
     }
-    if (const std::string* s = trace.meta_value("policy_seed"))
-      check.seed = std::stoull(*s);
+    check.seed = meta_number_or(trace, "policy_seed", check.seed);
     return check_optgen(trace, check);
   }
   if (*kind == "sim") {
@@ -498,17 +488,15 @@ std::vector<Violation> replay_reproducer(const Trace& trace) {
       throw std::runtime_error(
           "replay: sim reproducer needs 'policy' and 'cache_bytes' meta");
     SimulatorConfig config;
-    config.cache_bytes = std::stoull(*cache_bytes);
-    if (const std::string* queue = trace.meta_value("queue_length"))
-      config.queue_length = std::stoull(*queue);
+    config.cache_bytes = meta_number<Bytes>("cache_bytes", *cache_bytes);
+    config.queue_length =
+        meta_number_or(trace, "queue_length", config.queue_length);
     if (const std::string* mode = trace.meta_value("queue_mode"))
       config.queue_mode =
           *mode == "sliding" ? QueueMode::Sliding : QueueMode::Batch;
-    if (const std::string* warmup = trace.meta_value("warmup"))
-      config.warmup_jobs = std::stoull(*warmup);
-    std::uint64_t seed = 0x5eedULL;
-    if (const std::string* s = trace.meta_value("policy_seed"))
-      seed = std::stoull(*s);
+    config.warmup_jobs = meta_number_or(trace, "warmup", config.warmup_jobs);
+    const auto seed =
+        meta_number_or<std::uint64_t>(trace, "policy_seed", 0x5eedULL);
     return check_simulation(trace, config, *policy, seed);
   }
   throw std::runtime_error("replay: unknown reproducer kind '" + *kind + "'");

@@ -219,7 +219,7 @@ SelectInstance select_instance_from_trace(const Trace& trace) {
   SelectInstance inst;
   inst.catalog = trace.catalog;
   inst.requests = trace.jobs;
-  inst.capacity = std::stoull(*capacity);
+  inst.capacity = meta_number<Bytes>("capacity", *capacity);
 
   std::istringstream value_row(*values);
   double v = 0.0;

@@ -348,11 +348,12 @@ SchedInstance sched_instance_from_trace(const Trace& trace) {
         "serve reproducer clients/releases do not match the job count");
   SchedInstance instance;
   instance.catalog = trace.catalog;
-  instance.cache_bytes = std::stoull(*cache_bytes);
-  instance.wave = std::max<std::size_t>(1, std::stoull(*wave));
+  instance.cache_bytes = meta_number<Bytes>("cache_bytes", *cache_bytes);
+  instance.wave =
+      std::max<std::size_t>(1, meta_number<std::size_t>("wave", *wave));
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
     SchedOp op;
-    op.client = static_cast<std::uint32_t>(std::stoul(client_items[i]));
+    op.client = meta_number<std::uint32_t>("clients", client_items[i]);
     op.release_oldest = release_items[i] == "1";
     op.request = trace.jobs[i];
     instance.ops.push_back(std::move(op));

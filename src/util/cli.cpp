@@ -1,11 +1,12 @@
 #include "util/cli.hpp"
 
-#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/parse.hpp"
 
 namespace fbc {
 
@@ -78,22 +79,6 @@ const CliParser::Option& CliParser::find(const std::string& name) const {
 std::string CliParser::get_string(const std::string& name) const {
   return find(name).value;
 }
-
-namespace {
-
-/// `text` parsed whole as a T, or nullopt: std::from_chars accepts no
-/// leading whitespace, no '+', no '-' for unsigned T, and the whole string
-/// must be consumed, so "-1", " 7" and "12abc" are all rejected.
-template <class T>
-std::optional<T> parse_whole(const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return value;
-}
-
-}  // namespace
 
 std::uint64_t CliParser::get_u64(const std::string& name) const {
   const std::string& v = find(name).value;

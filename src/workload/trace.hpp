@@ -36,6 +36,8 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,6 +45,7 @@
 
 #include "cache/catalog.hpp"
 #include "cache/types.hpp"
+#include "util/parse.hpp"
 
 namespace fbc {
 
@@ -73,6 +76,24 @@ struct Trace {
     meta.emplace_back(std::move(key), std::move(value));
   }
 };
+
+/// Meta entry `key`'s `text` (or one field of it) parsed whole as a T; a
+/// std::runtime_error naming the key otherwise, so a corrupted reproducer
+/// fails to load instead of replaying a wrapped or truncated number.
+template <class T>
+T meta_number(std::string_view key, std::string_view text) {
+  if (const std::optional<T> value = parse_whole<T>(text)) return *value;
+  throw std::runtime_error("trace meta '" + std::string(key) +
+                           "' is not a valid number: '" + std::string(text) +
+                           "'");
+}
+
+/// meta_number of entry `key`, or `fallback` when the trace has none.
+template <class T>
+T meta_number_or(const Trace& trace, std::string_view key, T fallback) {
+  const std::string* text = trace.meta_value(key);
+  return text == nullptr ? fallback : meta_number<T>(key, *text);
+}
 
 /// Writes `trace` in the lowest text format version that can represent it
 /// (v1 plain, v2 timed, v3 when meta entries are present). Throws

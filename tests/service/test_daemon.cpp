@@ -115,16 +115,15 @@ TEST(BundleDaemon, FrameLargerThanOneReadIsServed) {
   EXPECT_EQ(fx.server->stats().bytes_requested, 600u);
 }
 
-TEST(BundleDaemon, LegacyWireAnswersEveryPipelinedFrame) {
+TEST(BundleDaemon, AnswersEveryFrameOfOneWrite) {
   FileCatalog catalog{{100, 200, 300}};
   MassStorageSystem mss{default_tiers(), catalog};
   ServiceConfig config;
   config.cache_bytes = 3000;
-  config.legacy_wire = true;
   BundleServer server(config, mss);
   BundleDaemon daemon(server, /*port=*/0, /*workers=*/2);
-  // Two frames in one write: reading frame at a time leaves the second
-  // in the socket, and the loop must still come back for it.
+  // Two frames in one write arrive in one read: the loop must answer the
+  // second from its buffer, not wait on a socket that has nothing more.
   UniqueFd raw = connect_loopback(daemon.port());
   std::vector<std::uint8_t> burst;
   encode_frame(StatsRequestMsg{}, &burst);

@@ -1,10 +1,8 @@
 // FrameReader tests over a Unix socketpair: burst decoding (many frames
 // from one write, one recv), the syscall-free buffered_next drain, the
 // non-blocking try_next state machine (a partial frame is Empty, never a
-// blocking read), frame-at-a-time reads, and mid-frame EOF handling. These
-// pin the buffered transport the batched serving loop relies on; the
-// daemon's legacy_wire loop reads frame at a time, so both modes are part
-// of the bench baseline/optimized contract.
+// blocking read), and mid-frame EOF handling. These pin the buffered
+// transport the daemon's event loop and BundleClient rely on.
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
@@ -124,23 +122,6 @@ TEST(FrameReader, TryNextReturnsEmptyOnAPartialFrame) {
   EXPECT_EQ(cookie_of(out), 9u);
 }
 
-TEST(FrameReader, FrameAtATimeReadsStopAtTheFrameBoundary) {
-  SocketPair pair;
-  std::vector<std::uint8_t> burst;
-  for (std::uint64_t cookie = 1; cookie <= 2; ++cookie)
-    encode_frame(Message{acquire_msg(cookie)}, &burst);
-  ASSERT_TRUE(write_full(pair.a.get(), burst.data(), burst.size()));
-
-  FrameReader reader(/*frame_at_a_time=*/true);
-  Message out;
-  ASSERT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Got);
-  EXPECT_EQ(cookie_of(out), 1u);
-  // The second frame is still in the socket, not in the reader.
-  EXPECT_FALSE(reader.buffered_next(&out));
-  ASSERT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Got);
-  EXPECT_EQ(cookie_of(out), 2u);
-}
-
 TEST(FrameReader, MidFrameEofThrows) {
   SocketPair pair;
   std::vector<std::uint8_t> frame;
@@ -157,17 +138,17 @@ TEST(FrameReader, MidFrameEofThrows) {
 }
 
 TEST(FrameReader, AgreesWithUnbufferedRecvMessage) {
-  // legacy_wire uses recv_message directly; both decoders must agree on
-  // the same bytes.
+  // Tests read raw daemon replies with recv_message, the unbuffered
+  // reference decoder; it must agree with FrameReader on the same bytes.
   SocketPair buffered;
-  SocketPair legacy;
+  SocketPair unbuffered;
   const Message message{acquire_msg(99)};
   ASSERT_TRUE(send_message(buffered.a.get(), message));
-  ASSERT_TRUE(send_message(legacy.a.get(), message));
+  ASSERT_TRUE(send_message(unbuffered.a.get(), message));
 
   FrameReader reader;
   const std::optional<Message> via_reader = reader.next(buffered.b.get());
-  const std::optional<Message> via_recv = recv_message(legacy.b.get());
+  const std::optional<Message> via_recv = recv_message(unbuffered.b.get());
   ASSERT_TRUE(via_reader.has_value());
   ASSERT_TRUE(via_recv.has_value());
   EXPECT_EQ(std::get<AcquireRequestMsg>(*via_reader).cookie,

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "workload/trace.hpp"
 
@@ -74,6 +76,33 @@ TEST(Fuzzer, ReplayRejectsTracesWithoutProvenance) {
   EXPECT_THROW((void)replay_reproducer(trace), std::runtime_error);
   trace.set_meta("kind", "nonsense");
   EXPECT_THROW((void)replay_reproducer(trace), std::runtime_error);
+}
+
+TEST(Fuzzer, ReplayRejectsMetaNumbersThatDoNotParseWhole) {
+  // A corrupted reproducer must fail to load: std::stoull once read
+  // "capacity -1" as 2^64-1 and "capacity 378abc" as 378, and both
+  // replayed as "no violations".
+  std::ifstream in(std::string(FBC_FIXTURE_DIR) + "/hard-select-7-692.trace");
+  ASSERT_TRUE(in.good());
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string clean = text.str();
+  const std::string line = "\ncapacity 378\n";
+  const std::size_t at = clean.find(line);
+  ASSERT_NE(at, std::string::npos);
+  for (const std::string bad : {"-1", "378abc"}) {
+    std::string copy = clean;
+    copy.replace(at, line.size(), "\ncapacity " + bad + "\n");
+    std::istringstream is(copy);
+    const Trace trace = read_trace(is);
+    try {
+      (void)replay_reproducer(trace);
+      ADD_FAILURE() << "capacity " << bad << " replayed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'capacity'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

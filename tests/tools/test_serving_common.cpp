@@ -83,9 +83,7 @@ void expect_same_service_config(const service::ServiceConfig& a,
   EXPECT_EQ(a.retry_after_cap_ms, b.retry_after_cap_ms);
   EXPECT_EQ(a.engine, b.engine);
   EXPECT_EQ(a.admission_batch, b.admission_batch);
-  EXPECT_EQ(a.coalesce, b.coalesce);
   EXPECT_EQ(a.shadow_diff, b.shadow_diff);
-  EXPECT_EQ(a.legacy_wire, b.legacy_wire);
   EXPECT_EQ(a.shard_id, b.shard_id);
   EXPECT_EQ(static_cast<bool>(a.policy_factory),
             static_cast<bool>(b.policy_factory));
@@ -110,8 +108,8 @@ const std::vector<std::string> kNonDefaultServiceFlags = {
     "--order=value",         "--timeout-ms=1234",   "--max-retries=5",
     "--retry-backoff-ms=20", "--fail-prob=0.25",    "--time-scale=0.125",
     "--streams=2",           "--seed=77",           "--retry-cap-ms=500",
-    "--engine=reference",    "--admission-batch=3", "--no-coalesce",
-    "--shadow-diff",         "--legacy-wire",       "--shard-id=6"};
+    "--engine=reference",    "--admission-batch=3", "--shadow-diff",
+    "--shard-id=6"};
 
 TEST(ServingCommon, ServiceFlagsMapOntoEveryConfigField) {
   CliParser cli("test", "flag mapping");
@@ -132,9 +130,7 @@ TEST(ServingCommon, ServiceFlagsMapOntoEveryConfigField) {
   EXPECT_EQ(config.retry_after_cap_ms, 500u);
   EXPECT_EQ(config.engine, SelectEngine::Reference);
   EXPECT_EQ(config.admission_batch, 3u);
-  EXPECT_FALSE(config.coalesce);
   EXPECT_TRUE(config.shadow_diff);
-  EXPECT_TRUE(config.legacy_wire);
   EXPECT_EQ(config.shard_id, 6u);
   // --shadow-diff must install the enginediff policy factory, or the
   // flag would silently do nothing at the server.
@@ -148,9 +144,7 @@ TEST(ServingCommon, DefaultsKeepTheOptimizedServingPath) {
   const service::ServiceConfig config = service_config_from_cli(cli);
   EXPECT_EQ(config.engine, SelectEngine::Incremental);
   EXPECT_GT(config.admission_batch, 1u);
-  EXPECT_TRUE(config.coalesce);
   EXPECT_FALSE(config.shadow_diff);
-  EXPECT_FALSE(config.legacy_wire);
   EXPECT_FALSE(static_cast<bool>(config.policy_factory));
 }
 

@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       shards.reserve(ports.size());
       for (const std::uint16_t p : ports)
         shards.push_back(std::make_unique<cluster::RemoteShard>(
-            p, false, cluster_config.remote_pool_cap));
+            p, cluster_config.remote_pool_cap));
       remote_router = std::make_unique<cluster::ClusterRouter>(
           cluster_config, workload.catalog, service_config.cache_bytes,
           std::move(shards));

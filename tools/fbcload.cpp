@@ -6,13 +6,18 @@
 //   # self-hosted sharded cluster (ClusterRouter over --shards servers):
 //   fbcload --inline --cluster --shards=4 -c 8 -n 2000 --cache=512MiB
 //
+//   # the same stack called in-process, no daemon or socket in between
+//   # (the wire's reference leg in scripts/check_bench_serving.py):
+//   fbcload --inline --direct -c 8 -n 2000 --scenario=henp --cache=2GiB
+//
 //   # against an already-running daemon started with the SAME scenario
 //   # flags (the workload is regenerated locally from them):
 //   fbcload --port=7401 -c 8 -n 2000 --scenario=henp --cache=2GiB
 //
-// Each connection runs on its own thread with its own BundleClient and
-// replays an interleaved slice of the scenario job stream: acquire ->
-// hold -> release, honoring QueueFull retry-after backpressure hints.
+// Each connection runs on its own thread with its own BundleClient (with
+// --direct, a DirectClient) and replays an interleaved slice of the
+// scenario job stream: acquire -> hold -> release, honoring QueueFull
+// retry-after backpressure hints.
 // Reports throughput and end-to-end p50/p95/p99 acquire latency (all
 // percentiles via util/stats::quantile -- the single project-wide
 // implementation), fetches the server's MsgType::Metrics snapshot, and
@@ -54,7 +59,31 @@ struct WorkerResult {
   std::uint64_t transfer_retries = 0; ///< server-reported staging retries
 };
 
-/// Replays job indices i with i % connections == worker over one client.
+/// BundleClient's call shape over an endpoint in this process: with
+/// --direct the same worker loop and the same checks run with no daemon,
+/// socket or codec between the jobs and the server.
+class DirectClient {
+ public:
+  explicit DirectClient(service::ServingEndpoint& endpoint)
+      : endpoint_(&endpoint) {}
+  service::AcquireResult acquire(const std::vector<FileId>& files) {
+    return endpoint_->acquire(Request(files));
+  }
+  bool release(service::LeaseId lease) { return endpoint_->release(lease); }
+  service::AcquireResult release_acquire(service::LeaseId lease,
+                                         const std::vector<FileId>& files,
+                                         bool* released) {
+    *released = release(lease);
+    return acquire(files);
+  }
+  service::MetricsSnapshot metrics() const { return endpoint_->metrics(); }
+
+ private:
+  service::ServingEndpoint* endpoint_;
+};
+
+/// Replays job indices i with i % connections == worker over one client
+/// (a BundleClient or a DirectClient).
 ///
 /// With `pipeline` (the default), job i's release and job i+1's acquire
 /// travel in one wire round trip (BundleClient::release_acquire), halving
@@ -64,13 +93,11 @@ struct WorkerResult {
 /// frame carrying its acquire is written (for pipelined jobs, inside the
 /// previous job's combined call) and closes when its release reply is
 /// read, so the server-side enqueue->grant span always lies inside it.
-void run_worker(std::uint16_t port, const Workload& workload,
-                std::size_t worker, std::size_t connections,
-                std::size_t total_requests, std::uint64_t hold_ms,
-                std::uint64_t timeout_ms, bool pipeline, bool legacy_wire,
+template <class Client>
+void run_worker(Client& client, const Workload& workload, std::size_t worker,
+                std::size_t connections, std::size_t total_requests,
+                std::uint64_t hold_ms, std::uint64_t timeout_ms, bool pipeline,
                 WorkerResult* out) {
-  service::BundleClient client(port, legacy_wire);
-
   // Honor backpressure: QueueFull is a retry hint, not a failure. Each
   // retry sleeps the server's load-proportional hint, but the *cumulative*
   // sleep is capped at the per-request admission timeout (RetryBudget), so
@@ -324,6 +351,9 @@ int main(int argc, char** argv) {
                  "must wait (not a connection cap)",
                  "8");
   cli.add_flag("inline", "start fbcd in-process on an ephemeral port");
+  cli.add_flag("direct",
+               "with --inline: call the server (or router) in-process, "
+               "with no daemon or socket");
   cli.add_flag("cluster",
                "with --inline: serve from a sharded ClusterRouter (see "
                "--shards/--placement) instead of a single server");
@@ -331,8 +361,8 @@ int main(int argc, char** argv) {
   cli.add_flag("json", "emit the report as JSON");
   cli.add_flag("hist", "also print the server-side metrics histograms");
   cli.add_flag("no-pipeline",
-               "one round trip per RPC (serial release, pre-batching "
-               "client behavior; bench baseline mode)");
+               "one round trip per RPC (release, then acquire): probes how "
+               "much request-hit pipelining's reordering costs");
 
   try {
     cli.parse(args);
@@ -343,6 +373,9 @@ int main(int argc, char** argv) {
     const std::size_t total_requests = cli.get_u64("requests");
     const std::uint64_t hold_ms = cli.get_u64("hold-ms");
     if (connections == 0) throw std::invalid_argument("need --connections>0");
+    const bool direct = cli.get_flag("direct");
+    if (direct && !cli.get_flag("inline"))
+      throw std::invalid_argument("--direct needs --inline");
 
     // Self-hosted daemon for loopback benchmarking / CI smoke.
     std::unique_ptr<MassStorageSystem> mss;
@@ -350,6 +383,7 @@ int main(int argc, char** argv) {
     tools::ClusterBackend cluster_backend;
     tools::ClusterStack cluster_stack;
     std::unique_ptr<service::BundleDaemon> daemon;
+    service::ServingEndpoint* endpoint = nullptr;  // --inline's server
     std::uint16_t port = static_cast<std::uint16_t>(cli.get_u64("port"));
     if (cli.get_flag("inline")) {
       if (cli.get_flag("cluster")) {
@@ -359,29 +393,34 @@ int main(int argc, char** argv) {
             tools::make_cluster_backend(cluster_config, cli, workload);
         cluster_stack = tools::make_local_cluster(cluster_config, config,
                                                   *cluster_backend.backend);
-        daemon = std::make_unique<service::BundleDaemon>(
-            *cluster_stack.router, /*port=*/0, cli.get_u64("workers"));
+        endpoint = cluster_stack.router.get();
       } else {
         mss = std::make_unique<MassStorageSystem>(default_tiers(),
                                                   workload.catalog);
         tools::place_tier_mix(*mss, cli);
         server = std::make_unique<service::BundleServer>(config, *mss);
-        daemon = std::make_unique<service::BundleDaemon>(
-            *server, /*port=*/0, cli.get_u64("workers"));
+        endpoint = server.get();
       }
-      port = daemon->port();
+      if (!direct) {
+        daemon = std::make_unique<service::BundleDaemon>(
+            *endpoint, /*port=*/0, cli.get_u64("workers"));
+        port = daemon->port();
+      }
     }
 
     std::vector<WorkerResult> results(connections);
     std::vector<std::thread> threads;
     threads.reserve(connections);
+    const auto run = [&](auto client, std::size_t w) {
+      run_worker(client, workload, w, connections, total_requests, hold_ms,
+                 config.timeout_ms, !cli.get_flag("no-pipeline"), &results[w]);
+    };
     const auto wall_start = Clock::now();
     for (std::size_t w = 0; w < connections; ++w) {
-      threads.emplace_back(run_worker, port, std::cref(workload), w,
-                           connections, total_requests, hold_ms,
-                           config.timeout_ms,
-                           !cli.get_flag("no-pipeline"),
-                           config.legacy_wire, &results[w]);
+      threads.emplace_back([&, w] {
+        if (direct) return run(DirectClient(*endpoint), w);
+        run(service::BundleClient(port), w);
+      });
     }
     for (std::thread& t : threads) t.join();
     const std::chrono::duration<double> wall = Clock::now() - wall_start;
@@ -401,12 +440,12 @@ int main(int argc, char** argv) {
                                 r.latencies_us.end());
     }
 
-    // Final metrics snapshot (exercises the MsgType::Metrics round-trip)
-    // + invariant checks over a fresh connection.
-    service::BundleClient probe(port);
-    const service::MetricsSnapshot metrics = probe.metrics();
+    // Final metrics snapshot (over the wire, a MsgType::Metrics round
+    // trip on a fresh connection) + invariant checks.
+    const service::MetricsSnapshot metrics =
+        direct ? DirectClient(*endpoint).metrics()
+               : service::BundleClient(port).metrics();
     const service::ServiceStats& stats = metrics.stats;
-    probe.disconnect();
     std::vector<std::string> violations = check_stats(stats);
     {
       const std::vector<std::string> more =
@@ -441,18 +480,23 @@ int main(int argc, char** argv) {
       if (srv == nullptr || srv->empty()) return std::string("nan");
       return format_double(srv->quantile(q) / 1000.0);
     };
+    const auto per_job = [&](double x) {
+      return format_double(
+          total.ok == 0 ? 0.0 : x / static_cast<double>(total.ok));
+    };
     TextTable table(
         {"scenario", "policy", "connections", "requests", "ok", "failed",
-         "request_hit_pct", "queue_retries", "transfer_retries", "evictions",
+         "request_hit_pct", "staged_mib_per_job", "queue_retries",
+         "transfer_retries", "evictions",
          "throughput_rps", "mean_ms", "p50_ms", "p95_ms", "p99_ms",
          "srv_p50_ms", "srv_p95_ms", "srv_p99_ms"});
     table.add_row(
         {cli.get_string("scenario"), config.policy,
          std::to_string(connections), std::to_string(total_requests),
          std::to_string(total.ok), std::to_string(total.failed),
-         format_double(total.ok == 0 ? 0.0
-                                     : 100.0 * static_cast<double>(total.hits) /
-                                           static_cast<double>(total.ok)),
+         per_job(100.0 * static_cast<double>(total.hits)),
+         per_job(static_cast<double>(stats.bytes_missed) /
+                 static_cast<double>(MiB)),
          std::to_string(total.queue_retries),
          std::to_string(total.transfer_retries),
          std::to_string(stats.evictions),

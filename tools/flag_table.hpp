@@ -22,11 +22,9 @@
 
 namespace fbc::tools {
 
-/// Tags for flag_row's `As` parameter: a Bytes member read with
-/// parse_bytes ("512MiB"), and a bool member set by a switch that turns it
-/// *off* (--no-coalesce).
+/// Tag for flag_row's `As` parameter: a Bytes member read with
+/// parse_bytes ("512MiB").
 struct ByteSize {};
-struct Inverted {};
 
 /// Parses the text of a flag bound to an enum member. The header of each
 /// flag list specializes it for the enums that list uses.
@@ -65,8 +63,6 @@ template <class As>
 auto read_value(const CliParser& cli, const std::string& flag) {
   if constexpr (std::is_same_v<As, ByteSize>) {
     return parse_bytes(cli.get_string(flag));
-  } else if constexpr (std::is_same_v<As, Inverted>) {
-    return !cli.get_flag(flag);
   } else if constexpr (std::is_same_v<As, bool>) {
     return cli.get_flag(flag);
   } else if constexpr (std::is_same_v<As, std::string>) {
@@ -102,7 +98,7 @@ std::string show_value(const T& value) {
 }  // namespace detail
 
 /// The FlagField of `Member`, parsed and shown according to `As` (the
-/// member's own type unless a ByteSize / Inverted tag says otherwise).
+/// member's own type unless a ByteSize tag says otherwise).
 template <auto Member,
           class As = typename detail::MemberOf<decltype(Member)>::type>
 constexpr auto flag_row(const char* flag, const char* help) {
@@ -111,7 +107,7 @@ constexpr auto flag_row(const char* flag, const char* help) {
   row.read = [](const CliParser& cli, const char* f, C& c) {
     c.*Member = detail::read_value<As>(cli, f);
   };
-  if constexpr (!std::is_same_v<As, bool> && !std::is_same_v<As, Inverted>)
+  if constexpr (!std::is_same_v<As, bool>)
     row.show = [](const C& c) { return detail::show_value<As>(c.*Member); };
   return row;
 }

@@ -77,17 +77,10 @@ inline constexpr auto kServiceFlags = [] {
       flag_row<&C::admission_batch>(
           "admission-batch",
           "queue entries admitted per drain pass (1 = serial)"),
-      flag_row<&C::coalesce, Inverted>(
-          "no-coalesce",
-          "disable single-flight waiting on overlapping fetches"),
       flag_row<&C::shadow_diff>(
           "shadow-diff",
           "run the Reference engine in lock-step shadow and assert "
           "bit-identical decisions (debug)"),
-      flag_row<&C::legacy_wire>(
-          "legacy-wire",
-          "pre-batching transport: unbuffered per-frame reads, one send per "
-          "reply (bench baseline mode)"),
       flag_row<&C::shard_id>("shard-id",
                              "this server's position in its cluster"),
   });
