@@ -322,28 +322,6 @@ bool ClusterRouter::release(LeaseId lease) {
   return all_ok;
 }
 
-service::ServiceStats ClusterRouter::stats() const {
-  std::vector<service::ServiceStats> per_shard;
-  per_shard.reserve(shards_.size());
-  std::size_t skipped = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!should_attempt(static_cast<std::uint32_t>(s))) {
-      ++skipped;
-      continue;
-    }
-    try {
-      per_shard.push_back(shards_[s]->stats());
-    } catch (const service::NetError&) {
-      record_failure(static_cast<std::uint32_t>(s));
-      ++skipped;
-      continue;
-    }
-    record_success(static_cast<std::uint32_t>(s));
-  }
-  if (skipped != 0) bump("grid.stats.partial");
-  return merge_stats(per_shard);
-}
-
 service::MetricsSnapshot ClusterRouter::metrics() const {
   std::vector<service::MetricsSnapshot> per_shard;
   per_shard.reserve(shards_.size());

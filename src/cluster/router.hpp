@@ -79,14 +79,11 @@ class ClusterRouter final : public service::ServingEndpoint {
   service::AcquireResult acquire(const Request& request) override;
   bool release(LeaseId lease) override;
 
-  /// Field-wise sum of per-shard stats (capacity_bytes is the cluster
-  /// total). Scattered acquires count once per touched shard. Shards
+  /// Merged per-shard snapshots plus the router's own grid.* counters.
+  /// The stats block is the field-wise sum (capacity_bytes is the cluster
+  /// total); scattered acquires count once per touched shard. Shards
   /// that are down (or fail the snapshot call) are skipped and flagged
   /// under grid.stats.partial instead of failing the whole snapshot.
-  [[nodiscard]] service::ServiceStats stats() const override;
-
-  /// Merged per-shard snapshots plus the router's own grid.* counters.
-  /// Dead shards are skipped, same as stats().
   [[nodiscard]] service::MetricsSnapshot metrics() const override;
 
   [[nodiscard]] service::EndpointInfo info() const override {
@@ -123,7 +120,7 @@ class ClusterRouter final : public service::ServingEndpoint {
   /// Releases deferred for down shards, awaiting recovery flush.
   [[nodiscard]] std::size_t pending_releases() const;
 
-  /// Forces a recovery probe of shard `index` (one stats round trip),
+  /// Forces a recovery probe of shard `index` (one metrics round trip),
   /// regardless of the probe_ms schedule: on success the shard is marked
   /// up and its deferred releases are flushed. Returns true when the
   /// shard is up afterwards. The replay harnesses use this to make
@@ -162,7 +159,7 @@ class ClusterRouter final : public service::ServingEndpoint {
   [[nodiscard]] std::vector<bool> routable_snapshot(
       const std::vector<bool>& excluded) const;
 
-  /// Whether a non-acquire call (release/stats) should attempt this
+  /// Whether a non-acquire call (release/metrics) should attempt this
   /// shard now: up, or down with a probe slot claimed.
   [[nodiscard]] bool should_attempt(std::uint32_t shard) const;
 

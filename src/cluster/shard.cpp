@@ -41,13 +41,6 @@ bool RemoteShard::release(LeaseId lease) {
   return ok;
 }
 
-service::ServiceStats RemoteShard::stats() const {
-  ClientPtr client = checkout();
-  service::ServiceStats stats = client->stats();
-  checkin(std::move(client));
-  return stats;
-}
-
 service::MetricsSnapshot RemoteShard::metrics() const {
   ClientPtr client = checkout();
   service::MetricsSnapshot snapshot = client->metrics();

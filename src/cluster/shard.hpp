@@ -30,8 +30,12 @@ class Shard {
 
   virtual service::AcquireResult acquire(const Request& request) = 0;
   virtual bool release(LeaseId lease) = 0;
-  [[nodiscard]] virtual service::ServiceStats stats() const = 0;
   [[nodiscard]] virtual service::MetricsSnapshot metrics() const = 0;
+  /// The stats block of metrics(). Only ledger/seams.hpp overrides this;
+  /// delete the virtual and that override together, like legacy_wire().
+  [[nodiscard]] virtual service::ServiceStats stats() const {
+    return metrics().stats;
+  }
   virtual void close() = 0;
 
   /// Hook the router calls when it marks this shard down: transports with
@@ -50,9 +54,6 @@ class LocalShard final : public Shard {
     return server_->acquire(request);
   }
   bool release(LeaseId lease) override { return server_->release(lease); }
-  [[nodiscard]] service::ServiceStats stats() const override {
-    return server_->stats();
-  }
   [[nodiscard]] service::MetricsSnapshot metrics() const override {
     return server_->metrics();
   }
@@ -78,7 +79,6 @@ class RemoteShard final : public Shard {
 
   service::AcquireResult acquire(const Request& request) override;
   bool release(LeaseId lease) override;
-  [[nodiscard]] service::ServiceStats stats() const override;
   [[nodiscard]] service::MetricsSnapshot metrics() const override;
   void close() override;
 
@@ -96,7 +96,7 @@ class RemoteShard final : public Shard {
   using ClientPtr = std::unique_ptr<service::BundleClient>;
 
   /// Pops an idle connection or dials a new one. Never holds remote_mu_
-  /// across the connect. (const: stats()/metrics() check out too.)
+  /// across the connect. (const: metrics() checks out too.)
   ClientPtr checkout() const;
   /// Returns a healthy connection to the pool (dropped if closed).
   void checkin(ClientPtr client) const;
@@ -138,10 +138,6 @@ class FaultInjectionShard final : public Shard {
   bool release(LeaseId lease) override {
     check();
     return inner_->release(lease);
-  }
-  [[nodiscard]] service::ServiceStats stats() const override {
-    check();
-    return inner_->stats();
   }
   [[nodiscard]] service::MetricsSnapshot metrics() const override {
     check();

@@ -7,27 +7,22 @@
 
 namespace fbc::cluster {
 
-service::ServiceStats merge_stats(
-    std::span<const service::ServiceStats> shards) {
-  service::ServiceStats out;
-  for (const service::ServiceStats& s : shards)
-    for (const service::StatsField& field : service::kServiceStatsFields)
-      out.*field.member += s.*field.member;
-  return out;
+namespace {
+
+void merge_stats(const service::ServiceStats& in, service::ServiceStats* out) {
+  for (const service::StatsField& field : service::kServiceStatsFields)
+    out->*field.member += in.*field.member;
 }
+
+}  // namespace
 
 service::MetricsSnapshot merge_metrics(
     std::span<const service::MetricsSnapshot> shards) {
   service::MetricsSnapshot out;
-  {
-    std::vector<service::ServiceStats> stats;
-    stats.reserve(shards.size());
-    for (const service::MetricsSnapshot& s : shards) stats.push_back(s.stats);
-    out.stats = merge_stats(stats);
-  }
   obs::CounterRegistry counters;
   std::map<std::string, obs::Histogram> histograms;
   for (const service::MetricsSnapshot& s : shards) {
+    merge_stats(s.stats, &out.stats);
     for (const obs::CounterSample& c : s.counters)
       counters.add(c.first, c.second);
     for (const service::NamedHistogram& h : s.histograms)

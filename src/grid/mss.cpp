@@ -2,6 +2,9 @@
 
 #include <stdexcept>
 
+#include "util/parse.hpp"
+#include "util/rng.hpp"
+
 namespace fbc {
 
 std::vector<StorageTier> default_tiers() {
@@ -40,6 +43,30 @@ std::size_t MassStorageSystem::tier_of(FileId id) const {
 
 double MassStorageSystem::fetch_seconds(FileId id) const {
   return tiers_[tier_of(id)].fetch_seconds(catalog_->size_of(id));
+}
+
+void place_tier_mix(MassStorageSystem& mss, std::string_view mix,
+                    std::uint64_t seed) {
+  const auto comma = mix.find(',');
+  const std::optional<double> tape = parse_whole<double>(mix.substr(0, comma));
+  const std::optional<double> remote =
+      comma == std::string_view::npos
+          ? std::nullopt
+          : parse_whole<double>(mix.substr(comma + 1));
+  if (!tape || !remote || !(*tape >= 0.0 && *tape <= 1.0) ||
+      !(*remote >= 0.0 && *remote <= 1.0) || *tape + *remote > 1.0)
+    throw std::invalid_argument("--tier-mix needs 'tape,remote' fractions "
+                                "in [0, 1] summing to at most 1: " +
+                                std::string(mix));
+  Rng placement_rng(seed + 17);
+  for (FileId id = 0; id < mss.catalog().count(); ++id) {
+    const double roll = placement_rng.uniform_double();
+    if (roll < *tape) {
+      mss.place_file(id, 1);
+    } else if (roll < *tape + *remote) {
+      mss.place_file(id, 2);
+    }
+  }
 }
 
 }  // namespace fbc

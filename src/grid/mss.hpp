@@ -7,7 +7,9 @@
 // queue, RPC) plus a streaming bandwidth, and assign every file to a tier.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/catalog.hpp"
@@ -68,5 +70,13 @@ class MassStorageSystem : public StorageBackend {
   const FileCatalog* catalog_;
   std::vector<std::uint32_t> placement_;
 };
+
+/// Places each file of a default_tiers() MSS per a "<tape>,<remote>"
+/// fraction pair (the --tier-mix flag): a seeded roll below tape goes to
+/// tier 1, below tape+remote to tier 2, the rest stays on the disk pool.
+/// Throws std::invalid_argument for a malformed pair, a fraction outside
+/// [0, 1] or a sum above 1.
+void place_tier_mix(MassStorageSystem& mss, std::string_view mix,
+                    std::uint64_t seed);
 
 }  // namespace fbc

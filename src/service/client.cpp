@@ -97,15 +97,6 @@ bool BundleClient::release(LeaseId lease) {
   return msg->ok != 0;
 }
 
-ServiceStats BundleClient::stats() {
-  const Message reply = round_trip(StatsRequestMsg{});
-  const auto* msg = std::get_if<StatsReplyMsg>(&reply);
-  if (msg == nullptr)
-    throw ProtocolError(std::string("expected StatsReply, got ") +
-                        to_string(message_type(reply)));
-  return msg->stats;
-}
-
 MetricsSnapshot BundleClient::metrics() {
   Message reply = round_trip(MetricsRequestMsg{});
   auto* msg = std::get_if<MetricsReplyMsg>(&reply);

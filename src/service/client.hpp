@@ -40,9 +40,6 @@ class BundleClient {
       LeaseId lease, const std::vector<FileId>& files,
       bool* released = nullptr);
 
-  /// Fetches the server's stats snapshot.
-  [[nodiscard]] ServiceStats stats();
-
   /// Fetches the server's full observability snapshot (stats, counters,
   /// per-stage histograms). Histograms arrive validated: the decoder
   /// rejects inconsistent bucket state as a ProtocolError.

@@ -320,8 +320,6 @@ Message BundleDaemon::handle(Connection& conn, Message& message) {
     if (ok) std::erase(conn.held, rel->lease);
     return ReleaseReplyMsg{ok};
   }
-  if (std::holds_alternative<StatsRequestMsg>(message))
-    return StatsReplyMsg{endpoint_.stats()};
   if (std::holds_alternative<MetricsRequestMsg>(message))
     return MetricsReplyMsg{endpoint_.metrics()};
   if (std::holds_alternative<HelloRequestMsg>(message)) {

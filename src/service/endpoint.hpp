@@ -4,7 +4,7 @@
 // BundleDaemon serves *an endpoint*, not a BundleServer: the same event
 // loops front either a single shard (fbcd) or a ClusterRouter
 // fanning out to N shards (fbcgrid). Everything the daemon needs --
-// acquire/release forwarding, stats/metrics snapshots, identity for
+// acquire/release forwarding, metrics snapshots, identity for
 // HelloRequest (whose shard count also sizes its loops), and
 // close-on-shutdown -- goes through this interface, so
 // acquire/release frames are forwardable to whatever sits behind it.
@@ -53,9 +53,11 @@ class ServingEndpoint {
   /// Returns false for an unknown (or already released) lease.
   virtual bool release(LeaseId lease) = 0;
 
-  [[nodiscard]] virtual ServiceStats stats() const = 0;
-
   [[nodiscard]] virtual MetricsSnapshot metrics() const = 0;
+
+  /// The stats block of metrics(). Only ledger/seams.hpp overrides this;
+  /// delete the virtual and that override together, like legacy_wire().
+  [[nodiscard]] virtual ServiceStats stats() const { return metrics().stats; }
 
   /// Identity for HelloReply frames.
   [[nodiscard]] virtual EndpointInfo info() const = 0;
@@ -65,7 +67,7 @@ class ServingEndpoint {
   [[nodiscard]] virtual bool legacy_wire() const { return false; }
 
   /// Wakes every queued waiter with Closed and rejects future acquires;
-  /// release/stats keep working so draining clients can finish.
+  /// release/metrics keep working so draining clients can finish.
   virtual void close() = 0;
 };
 

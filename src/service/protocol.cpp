@@ -1,8 +1,20 @@
 #include "service/protocol.hpp"
 
+#include <algorithm>
+#include <array>
+
 namespace fbc::service {
 
 namespace {
+
+/// The type byte of each Message alternative, in variant order. Bytes 5
+/// and 6 are retired, so a type byte is not its index plus one.
+constexpr std::array kMessageTypes = {
+    MsgType::AcquireRequest, MsgType::AcquireReply,   MsgType::ReleaseRequest,
+    MsgType::ReleaseReply,   MsgType::MetricsRequest, MsgType::MetricsReply,
+    MsgType::HelloRequest,   MsgType::HelloReply,
+};
+static_assert(kMessageTypes.size() == std::variant_size_v<Message>);
 
 void put_u8(std::vector<std::uint8_t>* out, std::uint8_t v) {
   out->push_back(v);
@@ -67,18 +79,6 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void encode_stats(std::vector<std::uint8_t>* out, const ServiceStats& s) {
-  for (const StatsField& field : kServiceStatsFields)
-    put_u64(out, s.*field.member);
-}
-
-ServiceStats decode_stats(Reader* in) {
-  ServiceStats s;
-  for (const StatsField& field : kServiceStatsFields)
-    s.*field.member = in->u64();
-  return s;
-}
-
 bool valid_metric_name(const std::string& name) {
   if (name.empty() || name.size() > kMaxMetricNameBytes) return false;
   for (char c : name)
@@ -103,7 +103,8 @@ std::string decode_metric_name(Reader* in) {
 }
 
 void encode_metrics(std::vector<std::uint8_t>* out, const MetricsSnapshot& m) {
-  encode_stats(out, m.stats);
+  for (const StatsField& field : kServiceStatsFields)
+    put_u64(out, m.stats.*field.member);
   if (m.counters.size() > kMaxMetricsCounters)
     throw ProtocolError("too many counters to encode");
   put_u32(out, static_cast<std::uint32_t>(m.counters.size()));
@@ -134,7 +135,8 @@ void encode_metrics(std::vector<std::uint8_t>* out, const MetricsSnapshot& m) {
 
 MetricsSnapshot decode_metrics(Reader* in) {
   MetricsSnapshot m;
-  m.stats = decode_stats(in);
+  for (const StatsField& field : kServiceStatsFields)
+    m.stats.*field.member = in->u64();
   const std::uint32_t counter_count = in->u32();
   if (counter_count > kMaxMetricsCounters)
     throw ProtocolError("counter count exceeds the metrics cap");
@@ -217,12 +219,6 @@ void encode_payload(const Message& message, std::vector<std::uint8_t>* out) {
       put_u8(out, std::get<ReleaseReplyMsg>(message).ok);
       return;
     }
-    case MsgType::StatsRequest:
-      return;  // empty payload
-    case MsgType::StatsReply: {
-      encode_stats(out, std::get<StatsReplyMsg>(message).stats);
-      return;
-    }
     case MsgType::MetricsRequest:
       return;  // empty payload
     case MsgType::MetricsReply: {
@@ -253,8 +249,6 @@ const char* to_string(MsgType type) noexcept {
     case MsgType::AcquireReply: return "AcquireReply";
     case MsgType::ReleaseRequest: return "ReleaseRequest";
     case MsgType::ReleaseReply: return "ReleaseReply";
-    case MsgType::StatsRequest: return "StatsRequest";
-    case MsgType::StatsReply: return "StatsReply";
     case MsgType::MetricsRequest: return "MetricsRequest";
     case MsgType::MetricsReply: return "MetricsReply";
     case MsgType::HelloRequest: return "HelloRequest";
@@ -278,8 +272,7 @@ const char* to_string(AcquireStatus status) noexcept {
 }
 
 MsgType message_type(const Message& message) noexcept {
-  // variant alternatives are declared in MsgType order (offset by 1).
-  return static_cast<MsgType>(message.index() + 1);
+  return kMessageTypes[message.index()];
 }
 
 void encode_frame(const Message& message, std::vector<std::uint8_t>* out) {
@@ -305,11 +298,9 @@ FrameHeader decode_header(std::span<const std::uint8_t> bytes) {
     throw ProtocolError("payload length " +
                         std::to_string(header.payload_len) +
                         " exceeds the frame cap");
-  const std::uint8_t raw_type = bytes[4];
-  if (raw_type < static_cast<std::uint8_t>(MsgType::AcquireRequest) ||
-      raw_type > static_cast<std::uint8_t>(MsgType::HelloReply))
-    throw ProtocolError("unknown message type " + std::to_string(raw_type));
-  header.type = static_cast<MsgType>(raw_type);
+  header.type = static_cast<MsgType>(bytes[4]);
+  if (std::ranges::find(kMessageTypes, header.type) == kMessageTypes.end())
+    throw ProtocolError("unknown message type " + std::to_string(bytes[4]));
   return header;
 }
 
@@ -349,16 +340,6 @@ Message decode_payload(MsgType type, std::span<const std::uint8_t> payload) {
     case MsgType::ReleaseReply: {
       ReleaseReplyMsg m;
       m.ok = in.u8();
-      in.finish();
-      return m;
-    }
-    case MsgType::StatsRequest: {
-      in.finish();
-      return StatsRequestMsg{};
-    }
-    case MsgType::StatsReply: {
-      StatsReplyMsg m;
-      m.stats = decode_stats(&in);
       in.finish();
       return m;
     }

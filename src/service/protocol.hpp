@@ -7,8 +7,9 @@
 //   +----------------+--------+------------------------+
 //
 // The protocol is deliberately minimal -- four request/reply pairs
-// (acquire a bundle lease, release a lease, snapshot server stats, export
-// an observability metrics snapshot) -- and strictly client-initiated: the
+// (acquire a bundle lease, release a lease, export an observability
+// snapshot whose first block is the server stats, name the endpoint) --
+// and strictly client-initiated: the
 // server sends exactly one reply frame per request frame. Unknown message
 // types and oversized or truncated frames are protocol errors; the server
 // closes the connection.
@@ -43,8 +44,9 @@ enum class MsgType : std::uint8_t {
   AcquireReply = 2,
   ReleaseRequest = 3,
   ReleaseReply = 4,
-  StatsRequest = 5,
-  StatsReply = 6,
+  // 5 and 6 (the retired StatsRequest/StatsReply pair) are never reused:
+  // decode_header rejects them, so an old client's stats poll closes its
+  // connection instead of being misread.
   MetricsRequest = 7,
   MetricsReply = 8,
   HelloRequest = 9,
@@ -72,8 +74,9 @@ enum class AcquireStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(MsgType type) noexcept;
 [[nodiscard]] const char* to_string(AcquireStatus status) noexcept;
 
-/// Server counters reported by a stats snapshot. Every field is a u64 and
-/// has one row in kServiceStatsFields below, whose order is the wire order.
+/// Server counters, the first block of every MetricsSnapshot. Every field
+/// is a u64 and has one row in kServiceStatsFields below, whose order is
+/// the wire order.
 struct ServiceStats {
   std::uint64_t requests = 0;        ///< acquire calls accepted for service
   std::uint64_t request_hits = 0;    ///< whole bundle already resident
@@ -105,8 +108,8 @@ struct StatsField {
   bool bytes;  ///< a byte count, shown with a unit
 };
 
-/// The field list of ServiceStats, in wire order. The StatsReply codec,
-/// cluster::merge_stats and the fbcctl stats rows all walk it.
+/// The field list of ServiceStats, in wire order. The MetricsReply codec,
+/// cluster::merge_metrics and the fbcctl stats rows all walk it.
 inline constexpr auto kServiceStatsFields = std::to_array<StatsField>({
     {"requests", &ServiceStats::requests, false},
     {"request_hits", &ServiceStats::request_hits, false},
@@ -187,12 +190,6 @@ struct ReleaseReplyMsg {
   std::uint8_t ok = 0;
 };
 
-struct StatsRequestMsg {};
-
-struct StatsReplyMsg {
-  ServiceStats stats;
-};
-
 struct MetricsRequestMsg {};
 
 struct MetricsReplyMsg {
@@ -215,9 +212,8 @@ struct HelloReplyMsg {
 
 using Message =
     std::variant<AcquireRequestMsg, AcquireReplyMsg, ReleaseRequestMsg,
-                 ReleaseReplyMsg, StatsRequestMsg, StatsReplyMsg,
-                 MetricsRequestMsg, MetricsReplyMsg, HelloRequestMsg,
-                 HelloReplyMsg>;
+                 ReleaseReplyMsg, MetricsRequestMsg, MetricsReplyMsg,
+                 HelloRequestMsg, HelloReplyMsg>;
 
 /// Frame type of a message value.
 [[nodiscard]] MsgType message_type(const Message& message) noexcept;

@@ -350,7 +350,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
 
   const auto t_end = Clock::now();
   // Duration histograms are Ok-grants only: their counts tie to
-  // stats().requests once in-flight acquires have drained.
+  // stats.requests once in-flight acquires have drained.
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   hists_[kQueueUs].record(us_between(t0, t_admit));
   hists_[kReserveUs].record(us_between(t_admit, t_reserved));
@@ -412,7 +412,29 @@ constexpr std::array<std::string_view, BundleServer::kHistCount>
 
 MetricsSnapshot BundleServer::metrics() const {
   MetricsSnapshot m;
-  m.stats = stats();
+  {
+    std::lock_guard<OrderedMutex> lock(mu_);
+    ServiceStats& s = m.stats;
+    s.requests = metrics_.jobs();
+    s.request_hits = metrics_.request_hits();
+    s.rejected_full = rejected_full_;
+    s.timed_out = timed_out_;
+    s.unserviceable = metrics_.unserviceable();
+    s.invalid = invalid_;
+    s.transfer_retries = transfer_retries_;
+    s.transfer_failures = transfer_failures_;
+    s.leases_granted = leases_.granted();
+    s.leases_released = released_;
+    s.active_leases = leases_.active();
+    s.queue_depth = queue_.size();
+    s.evictions = metrics_.evictions();
+    s.bytes_requested = metrics_.bytes_requested();
+    s.bytes_missed = metrics_.bytes_missed();
+    s.bytes_evicted = metrics_.bytes_evicted();
+    s.used_bytes = cache_.used_bytes();
+    s.capacity_bytes = cache_.capacity();
+    s.resident_files = cache_.file_count();
+  }
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   m.counters = counters_.snapshot();
   static_assert(std::ranges::none_of(kHistNames, &std::string_view::empty),
@@ -426,31 +448,6 @@ MetricsSnapshot BundleServer::metrics() const {
   for (std::size_t h = 0; h < kHistCount; ++h)
     m.histograms.push_back({std::string(kHistNames[h]), hists_[h]});
   return m;
-}
-
-ServiceStats BundleServer::stats() const {
-  std::lock_guard<OrderedMutex> lock(mu_);
-  ServiceStats s;
-  s.requests = metrics_.jobs();
-  s.request_hits = metrics_.request_hits();
-  s.rejected_full = rejected_full_;
-  s.timed_out = timed_out_;
-  s.unserviceable = metrics_.unserviceable();
-  s.invalid = invalid_;
-  s.transfer_retries = transfer_retries_;
-  s.transfer_failures = transfer_failures_;
-  s.leases_granted = leases_.granted();
-  s.leases_released = released_;
-  s.active_leases = leases_.active();
-  s.queue_depth = queue_.size();
-  s.evictions = metrics_.evictions();
-  s.bytes_requested = metrics_.bytes_requested();
-  s.bytes_missed = metrics_.bytes_missed();
-  s.bytes_evicted = metrics_.bytes_evicted();
-  s.used_bytes = cache_.used_bytes();
-  s.capacity_bytes = cache_.capacity();
-  s.resident_files = cache_.file_count();
-  return s;
 }
 
 std::vector<std::string> BundleServer::audit() const {

@@ -174,7 +174,7 @@ class BundleServer : public ServingEndpoint {
   bool release(LeaseId lease) override;
 
   /// Wakes every queued waiter with AcquireStatus::Closed and rejects
-  /// future acquires. release()/stats()/audit() keep working.
+  /// future acquires. release()/metrics()/audit() keep working.
   void close() override;
 
   /// Test hook for the deterministic scheduling harness: while paused, no
@@ -187,13 +187,11 @@ class BundleServer : public ServingEndpoint {
 
   [[nodiscard]] bool admission_paused() const;
 
-  /// Consistent counter snapshot.
-  [[nodiscard]] ServiceStats stats() const override;
-
-  /// Full observability snapshot: stats() plus named counters and the
-  /// per-stage latency/size histograms (the MsgType::MetricsReply body).
-  /// Histogram counts tie to stats() once in-flight acquires have
-  /// returned: every acquire.{queue,reserve,fetch,total}_us histogram
+  /// Full observability snapshot: a consistent ServiceStats block plus
+  /// named counters and the per-stage latency/size histograms (the
+  /// MsgType::MetricsReply body). Histogram counts tie to the stats once
+  /// in-flight acquires have returned: every acquire.{queue,reserve,
+  /// fetch,total}_us histogram
   /// then holds exactly `requests` observations and lease.hold_us holds
   /// `leases_released`. acquire.coalesce_us counts only grants that
   /// blocked on an overlapping transfer, and admit.batch_size counts

@@ -1,4 +1,4 @@
-// merge_stats / merge_metrics tests: field-wise sums, name-wise counter
+// merge_metrics tests: field-wise stats sums, name-wise counter
 // addition with sorted output, and exact histogram merges -- the merged
 // snapshot must equal what one server seeing both streams would record.
 #include "cluster/stats.hpp"
@@ -12,61 +12,35 @@
 namespace fbc::cluster {
 namespace {
 
-service::ServiceStats sample_stats(std::uint64_t base) {
-  service::ServiceStats stats;
-  stats.requests = base + 1;
-  stats.request_hits = base + 2;
-  stats.rejected_full = base + 3;
-  stats.timed_out = base + 4;
-  stats.unserviceable = base + 5;
-  stats.invalid = base + 6;
-  stats.transfer_retries = base + 7;
-  stats.transfer_failures = base + 8;
-  stats.leases_granted = base + 9;
-  stats.leases_released = base + 10;
-  stats.active_leases = base + 11;
-  stats.queue_depth = base + 12;
-  stats.evictions = base + 13;
-  stats.bytes_requested = base + 14;
-  stats.bytes_missed = base + 15;
-  stats.bytes_evicted = base + 16;
-  stats.used_bytes = base + 17;
-  stats.capacity_bytes = base + 18;
-  stats.resident_files = base + 19;
-  return stats;
+/// Snapshot whose stats field i holds base + i + 1.
+service::MetricsSnapshot sample(std::uint64_t base) {
+  service::MetricsSnapshot m;
+  for (std::size_t i = 0; i < service::kServiceStatsFields.size(); ++i)
+    m.stats.*service::kServiceStatsFields[i].member = base + i + 1;
+  return m;
 }
 
-TEST(MergeStats, SumsEveryField) {
-  const std::vector<service::ServiceStats> shards = {sample_stats(0),
-                                                     sample_stats(100)};
-  const service::ServiceStats merged = merge_stats(shards);
-  const service::ServiceStats expected = sample_stats(0);
-  EXPECT_EQ(merged.requests, expected.requests + 101);
-  EXPECT_EQ(merged.request_hits, expected.request_hits + 102);
-  EXPECT_EQ(merged.rejected_full, expected.rejected_full + 103);
-  EXPECT_EQ(merged.timed_out, expected.timed_out + 104);
-  EXPECT_EQ(merged.unserviceable, expected.unserviceable + 105);
-  EXPECT_EQ(merged.invalid, expected.invalid + 106);
-  EXPECT_EQ(merged.transfer_retries, expected.transfer_retries + 107);
-  EXPECT_EQ(merged.transfer_failures, expected.transfer_failures + 108);
-  EXPECT_EQ(merged.leases_granted, expected.leases_granted + 109);
-  EXPECT_EQ(merged.leases_released, expected.leases_released + 110);
-  EXPECT_EQ(merged.active_leases, expected.active_leases + 111);
-  EXPECT_EQ(merged.queue_depth, expected.queue_depth + 112);
-  EXPECT_EQ(merged.evictions, expected.evictions + 113);
-  EXPECT_EQ(merged.bytes_requested, expected.bytes_requested + 114);
-  EXPECT_EQ(merged.bytes_missed, expected.bytes_missed + 115);
-  EXPECT_EQ(merged.bytes_evicted, expected.bytes_evicted + 116);
-  EXPECT_EQ(merged.used_bytes, expected.used_bytes + 117);
-  EXPECT_EQ(merged.capacity_bytes, expected.capacity_bytes + 118);
-  EXPECT_EQ(merged.resident_files, expected.resident_files + 119);
+TEST(MergeMetrics, SumsEveryStatsField) {
+  const std::vector<service::MetricsSnapshot> shards = {sample(0),
+                                                        sample(100)};
+  const service::ServiceStats merged = merge_metrics(shards).stats;
+  for (std::size_t i = 0; i < service::kServiceStatsFields.size(); ++i)
+    EXPECT_EQ(merged.*service::kServiceStatsFields[i].member, 2 * i + 102)
+        << service::kServiceStatsFields[i].name;
 }
 
-TEST(MergeStats, EmptyAndSingleton) {
-  const std::vector<service::ServiceStats> none;
-  EXPECT_EQ(merge_stats(none).requests, 0u);
-  const std::vector<service::ServiceStats> one = {sample_stats(7)};
-  EXPECT_EQ(merge_stats(one).requests, sample_stats(7).requests);
+TEST(MergeMetrics, EmptyAndSingleton) {
+  EXPECT_EQ(merge_metrics({}), service::MetricsSnapshot{});
+  // A single snapshot merges to itself: fbcctl prints one daemon's
+  // snapshot through the same merge it uses for --cluster.
+  service::MetricsSnapshot one = sample(7);
+  one.counters = {{"acquire.ok", 3}, {"release.ok", 2}};
+  obs::Histogram h;
+  h.record(5);
+  h.record(900);
+  one.histograms.push_back({"acquire.queue_us", h});
+  one.histograms.push_back({"lease.hold_us", h});
+  EXPECT_EQ(merge_metrics({&one, 1}), one);
 }
 
 TEST(MergeMetrics, AddsCountersNameWiseAndSorts) {

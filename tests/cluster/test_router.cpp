@@ -370,7 +370,7 @@ TEST(ClusterRouter, DaemonDealsNewConnectionsPastALoopWaitingInACall) {
   // Next in turn is loop 0, asleep in the staging call: skip it.
   std::future<service::ServiceStats> fresh =
       std::async(std::launch::async, [&daemon] {
-        return service::BundleClient(daemon.port()).stats();
+        return service::BundleClient(daemon.port()).metrics().stats;
       });
   EXPECT_EQ(fresh.wait_for(std::chrono::seconds(1)),
             std::future_status::ready);

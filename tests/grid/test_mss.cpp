@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace fbc {
 namespace {
@@ -57,6 +58,44 @@ TEST(MassStorageSystem, Validation) {
   EXPECT_THROW(mss.place_file(5, 0), std::invalid_argument);
   EXPECT_THROW(mss.place_file(0, 9), std::invalid_argument);
   EXPECT_THROW((void)mss.tier_of(5), std::invalid_argument);
+}
+
+TEST(PlaceTierMix, SpreadsFilesByFraction) {
+  FileCatalog catalog(std::vector<Bytes>(1000, 100));
+  MassStorageSystem mss(default_tiers(), catalog);
+  place_tier_mix(mss, "0.5,0.25", 1);
+  std::size_t per_tier[3] = {0, 0, 0};
+  for (FileId id = 0; id < 1000; ++id) ++per_tier[mss.tier_of(id)];
+  EXPECT_NEAR(static_cast<double>(per_tier[1]), 500.0, 60.0);
+  EXPECT_NEAR(static_cast<double>(per_tier[2]), 250.0, 60.0);
+  // The same seed places every file the same way.
+  MassStorageSystem again(default_tiers(), catalog);
+  place_tier_mix(again, "0.5,0.25", 1);
+  for (FileId id = 0; id < 1000; ++id)
+    EXPECT_EQ(again.tier_of(id), mss.tier_of(id));
+}
+
+TEST(PlaceTierMix, RejectsMalformedFractions) {
+  FileCatalog catalog({100, 200});
+  MassStorageSystem mss(default_tiers(), catalog);
+  for (const char* mix : {"0.5x,0.33", "0.5,0.33zz", "0.5", "", "0.5,"})
+    EXPECT_THROW(place_tier_mix(mss, mix, 1), std::invalid_argument) << mix;
+}
+
+TEST(PlaceTierMix, RejectsFractionOutsideUnitInterval) {
+  FileCatalog catalog({100, 200});
+  MassStorageSystem mss(default_tiers(), catalog);
+  for (const char* mix : {"-3,7", "1.5,0", "0,-0.1", "nan,0"})
+    EXPECT_THROW(place_tier_mix(mss, mix, 1), std::invalid_argument) << mix;
+  EXPECT_NO_THROW(place_tier_mix(mss, "0,1", 1));
+  EXPECT_NO_THROW(place_tier_mix(mss, "1,0", 1));
+}
+
+TEST(PlaceTierMix, RejectsSumAboveOne) {
+  FileCatalog catalog({100, 200});
+  MassStorageSystem mss(default_tiers(), catalog);
+  EXPECT_THROW(place_tier_mix(mss, "0.7,0.4", 1), std::invalid_argument);
+  EXPECT_NO_THROW(place_tier_mix(mss, "0.5,0.5", 1));
 }
 
 }  // namespace

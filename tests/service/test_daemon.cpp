@@ -64,10 +64,10 @@ bool eventually(Pred done) {
   return done();
 }
 
-/// A fresh connection's stats() round trip, run on its own thread.
+/// A fresh connection's metrics() round trip, run on its own thread.
 std::future<ServiceStats> stats_async(std::uint16_t port) {
   return std::async(std::launch::async,
-                    [port] { return BundleClient(port).stats(); });
+                    [port] { return BundleClient(port).metrics().stats; });
 }
 
 TEST(BundleDaemon, BindsEphemeralPortAndStops) {
@@ -94,7 +94,7 @@ TEST(BundleDaemon, AcquireReleaseStatsRoundTrip) {
   EXPECT_TRUE(client.release(hit.lease));
   EXPECT_FALSE(client.release(99999));
 
-  const ServiceStats stats = client.stats();
+  const ServiceStats stats = client.metrics().stats;
   EXPECT_EQ(stats.requests, 2u);
   EXPECT_EQ(stats.request_hits, 1u);
   EXPECT_EQ(stats.active_leases, 0u);
@@ -126,12 +126,12 @@ TEST(BundleDaemon, AnswersEveryFrameOfOneWrite) {
   // second from its buffer, not wait on a socket that has nothing more.
   UniqueFd raw = connect_loopback(daemon.port());
   std::vector<std::uint8_t> burst;
-  encode_frame(StatsRequestMsg{}, &burst);
+  encode_frame(MetricsRequestMsg{}, &burst);
   encode_frame(AcquireRequestMsg{7, {0, 1}}, &burst);
   ASSERT_TRUE(write_full(raw.get(), burst.data(), burst.size()));
-  const std::optional<Message> stats = recv_message(raw.get());
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_TRUE(std::holds_alternative<StatsReplyMsg>(*stats));
+  const std::optional<Message> metrics = recv_message(raw.get());
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_TRUE(std::holds_alternative<MetricsReplyMsg>(*metrics));
   const std::optional<Message> acquired = recv_message(raw.get());
   ASSERT_TRUE(acquired.has_value());
   const auto* reply = std::get_if<AcquireReplyMsg>(&*acquired);
@@ -213,6 +213,25 @@ TEST(BundleDaemon, MalformedFrameDropsOnlyThatConnection) {
   const AcquireResult r = client.acquire({4});
   EXPECT_EQ(r.status, AcquireStatus::Ok);
   EXPECT_TRUE(client.release(r.lease));
+}
+
+TEST(BundleDaemon, RetiredStatsRequestClosesOnlyItsConnection) {
+  DaemonFixture fx;
+  BundleClient other(fx.daemon->port());
+  const AcquireResult held = other.acquire({4});
+  ASSERT_EQ(held.status, AcquireStatus::Ok);
+  {
+    // What an old client's stats poll sends: type byte 5, empty payload.
+    UniqueFd raw = connect_loopback(fx.daemon->port());
+    const std::uint8_t stats_request[kFrameHeaderBytes] = {0, 0, 0, 0, 5};
+    ASSERT_TRUE(write_full(raw.get(), stats_request, sizeof stats_request));
+    std::uint8_t byte = 0;
+    EXPECT_FALSE(read_full(raw.get(), &byte, 1));  // closed, no reply
+  }
+  // The connection that was already open is still served.
+  EXPECT_EQ(other.metrics().stats.active_leases, 1u);
+  EXPECT_TRUE(other.release(held.lease));
+  EXPECT_TRUE(fx.server->audit().empty());
 }
 
 TEST(BundleDaemon, ReplyTypeFromClientIsRejected) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -68,50 +69,35 @@ TEST(Protocol, ReleasePairRoundTrips) {
   EXPECT_EQ(std::get<ReleaseReplyMsg>(reply).ok, 1u);
 }
 
-TEST(Protocol, StatsPairRoundTrips) {
-  EXPECT_TRUE(std::holds_alternative<StatsRequestMsg>(
-      round_trip(StatsRequestMsg{})));
-
-  ServiceStats stats;
-  stats.requests = 1;
-  stats.request_hits = 2;
-  stats.rejected_full = 3;
-  stats.timed_out = 4;
-  stats.unserviceable = 5;
-  stats.invalid = 6;
-  stats.transfer_retries = 7;
-  stats.transfer_failures = 8;
-  stats.leases_granted = 9;
-  stats.leases_released = 10;
-  stats.active_leases = 11;
-  stats.queue_depth = 12;
-  stats.evictions = 13;
-  stats.bytes_requested = 14;
-  stats.bytes_missed = 15;
-  stats.bytes_evicted = 16;
-  stats.used_bytes = 17;
-  stats.capacity_bytes = 18;
-  stats.resident_files = 19;
-  const Message decoded = round_trip(StatsReplyMsg{stats});
-  const auto& out = std::get<StatsReplyMsg>(decoded);
-  EXPECT_EQ(out.stats.requests, 1u);
-  EXPECT_EQ(out.stats.transfer_failures, 8u);
-  EXPECT_EQ(out.stats.queue_depth, 12u);
-  EXPECT_EQ(out.stats.resident_files, 19u);
-  EXPECT_EQ(out.stats.capacity_bytes, 18u);
-}
-
 TEST(Protocol, MessageTypeMatchesVariantOrder) {
   const Message messages[] = {AcquireRequestMsg{}, AcquireReplyMsg{},
                               ReleaseRequestMsg{}, ReleaseReplyMsg{},
-                              StatsRequestMsg{},   StatsReplyMsg{},
-                              MetricsRequestMsg{}, MetricsReplyMsg{}};
+                              MetricsRequestMsg{}, MetricsReplyMsg{},
+                              HelloRequestMsg{},   HelloReplyMsg{}};
   const MsgType expected[] = {MsgType::AcquireRequest, MsgType::AcquireReply,
                               MsgType::ReleaseRequest, MsgType::ReleaseReply,
-                              MsgType::StatsRequest,   MsgType::StatsReply,
-                              MsgType::MetricsRequest, MsgType::MetricsReply};
-  for (std::size_t i = 0; i < std::size(messages); ++i)
+                              MsgType::MetricsRequest, MsgType::MetricsReply,
+                              MsgType::HelloRequest,   MsgType::HelloReply};
+  static_assert(std::size(messages) == std::variant_size_v<Message>);
+  for (std::size_t i = 0; i < std::size(messages); ++i) {
     EXPECT_EQ(message_type(messages[i]), expected[i]);
+    EXPECT_EQ(round_trip(messages[i]).index(), messages[i].index());
+  }
+}
+
+TEST(Protocol, RetiredStatsTypeBytesAreUnknown) {
+  // 5 and 6 were StatsRequest/StatsReply: never reused, never decoded.
+  for (const std::uint8_t type : {std::uint8_t{5}, std::uint8_t{6}}) {
+    const std::uint8_t frame[kFrameHeaderBytes] = {0, 0, 0, 0, type};
+    try {
+      (void)decode_header({frame, sizeof frame});
+      ADD_FAILURE() << "type byte " << int{type} << " decoded";
+    } catch (const ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown message type"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Protocol, MetricsRequestRoundTrips) {
@@ -121,9 +107,10 @@ TEST(Protocol, MetricsRequestRoundTrips) {
 
 TEST(Protocol, MetricsReplyRoundTrips) {
   MetricsSnapshot m;
-  m.stats.requests = 7;
-  m.stats.leases_granted = 7;
-  m.stats.capacity_bytes = 1 << 30;
+  // A distinct value per stats field (field i = i + 1), so a codec that
+  // swaps or drops a field cannot round-trip.
+  for (std::size_t i = 0; i < kServiceStatsFields.size(); ++i)
+    m.stats.*kServiceStatsFields[i].member = i + 1;
   m.counters = {{"acquire.ok", 7}, {"release.ok", 5}};
   obs::Histogram queue;
   for (std::uint64_t v : {0u, 12u, 900u, 13u}) queue.record(v);
@@ -135,6 +122,9 @@ TEST(Protocol, MetricsReplyRoundTrips) {
   const Message decoded = round_trip(MetricsReplyMsg{m});
   const auto& out = std::get<MetricsReplyMsg>(decoded);
   EXPECT_EQ(out.metrics, m);  // exact: stats, counters and histograms
+  for (std::size_t i = 0; i < kServiceStatsFields.size(); ++i)
+    EXPECT_EQ(out.metrics.stats.*kServiceStatsFields[i].member, i + 1)
+        << kServiceStatsFields[i].name;
 }
 
 TEST(Protocol, MetricsReplyEmptySectionsRoundTrip) {
@@ -341,7 +331,7 @@ TEST(Protocol, PayloadRejectsUnknownAcquireStatus) {
 }
 
 TEST(Protocol, EnumNamesAreStable) {
-  EXPECT_STREQ(to_string(MsgType::StatsReply), "StatsReply");
+  EXPECT_STREQ(to_string(MsgType::MetricsReply), "MetricsReply");
   EXPECT_STREQ(to_string(AcquireStatus::QueueFull), "queue-full");
   EXPECT_STREQ(to_string(AcquireStatus::Ok), "ok");
 }

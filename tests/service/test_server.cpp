@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -434,6 +435,77 @@ TEST(BundleServer, MetricsTieToStatsWhenQuiescent) {
     EXPECT_LT(m.histograms[i - 1].name, m.histograms[i].name);
   for (std::size_t i = 1; i < m.counters.size(); ++i)
     EXPECT_LT(m.counters[i - 1].first, m.counters[i].first);
+}
+
+TEST(BundleServer, EveryStatsFieldIsFilled) {
+  // Scripted scenarios that between them move every counter: each
+  // kServiceStatsFields row must read non-zero in at least one snapshot,
+  // so metrics() cannot leave a field behind as a stale zero.
+  FileCatalog catalog({600, 600, 600});
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 1000;
+  std::vector<ServiceStats> snaps;
+  {
+    // A miss, a hit and an eviction; the last lease is held at snapshot
+    // time.
+    BundleServer server(config, mss);
+    ASSERT_TRUE(server.release(server.acquire(Request({0})).lease));
+    ASSERT_TRUE(server.release(server.acquire(Request({0})).lease));
+    ASSERT_EQ(server.acquire(Request({1})).status, AcquireStatus::Ok);
+    snaps.push_back(server.metrics().stats);
+  }
+  {
+    // Invalid, unserviceable, then queue-full behind a waiter that is
+    // still queued at snapshot time.
+    ServiceConfig queued = config;
+    queued.max_queue = 1;
+    BundleServer server(queued, mss);
+    EXPECT_EQ(server.acquire(Request{}).status,
+              AcquireStatus::InvalidRequest);
+    EXPECT_EQ(server.acquire(Request({0, 1})).status,
+              AcquireStatus::Unserviceable);
+    const AcquireResult held = server.acquire(Request({0}));
+    ASSERT_EQ(held.status, AcquireStatus::Ok);
+    auto blocked = std::async(std::launch::async, [&server] {
+      return server.acquire(Request({1}));
+    });
+    wait_for_queue_depth(server, 1);
+    EXPECT_EQ(server.acquire(Request({2})).status, AcquireStatus::QueueFull);
+    snaps.push_back(server.metrics().stats);
+    ASSERT_TRUE(server.release(held.lease));
+    const AcquireResult admitted = blocked.get();
+    ASSERT_EQ(admitted.status, AcquireStatus::Ok);
+    EXPECT_TRUE(server.release(admitted.lease));
+  }
+  {
+    // A timeout behind a lease that never frees its bytes.
+    ServiceConfig hurried = config;
+    hurried.timeout_ms = 50;
+    BundleServer server(hurried, mss);
+    ASSERT_EQ(server.acquire(Request({0})).status, AcquireStatus::Ok);
+    EXPECT_EQ(server.acquire(Request({1})).status, AcquireStatus::TimedOut);
+    snaps.push_back(server.metrics().stats);
+  }
+  {
+    // A transfer retried and then failed, with a fixed seed.
+    ServiceConfig flaky = config;
+    flaky.transfer_fail_prob = 1.0;
+    flaky.max_retries = 1;
+    flaky.retry_backoff_ms = 1;
+    flaky.seed = 7;
+    BundleServer server(flaky, mss);
+    EXPECT_EQ(server.acquire(Request({0})).status,
+              AcquireStatus::TransferFailed);
+    snaps.push_back(server.metrics().stats);
+  }
+  for (const StatsField& field : kServiceStatsFields) {
+    const bool filled =
+        std::ranges::any_of(snaps, [&field](const ServiceStats& s) {
+          return s.*field.member != 0;
+        });
+    EXPECT_TRUE(filled) << field.name << " reads 0 in every scenario";
+  }
 }
 
 TEST(BundleServer, BytesMissedCountsColdMissThenHit) {

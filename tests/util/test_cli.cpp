@@ -1,10 +1,14 @@
-// Tests for the CLI option parser.
+// Tests for the CLI option parser and the list flags' parsers.
 #include "util/cli.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "util/parse.hpp"
 
 namespace fbc {
 namespace {
@@ -132,6 +136,40 @@ TEST(Cli, NegativeInteger) {
   cli.add_option("delta", "signed", "-5");
   cli.parse(std::vector<std::string>{});
   EXPECT_EQ(cli.get_i64("delta"), -5);
+}
+
+TEST(ParseList, ReadsWholeValuesAndSkipsEmptyItems) {
+  EXPECT_EQ(parse_list<std::uint32_t>("3,7,,12,", "--files"),
+            (std::vector<std::uint32_t>{3, 7, 12}));
+  EXPECT_TRUE(parse_list<std::uint32_t>("", "--files").empty());
+  EXPECT_EQ(parse_port_list("7401,7411", "--cluster"),
+            (std::vector<std::uint16_t>{7401, 7411}));
+}
+
+TEST(ParseList, RejectsFileIdThatIsNotWhole) {
+  for (const char* list : {"3,7x", "-1", "4294967296", " 3"})
+    EXPECT_THROW((void)parse_list<std::uint32_t>(list, "--files"),
+                 std::invalid_argument)
+        << list;
+}
+
+TEST(ParseList, RejectsPortAboveRange) {
+  EXPECT_THROW((void)parse_port_list("70000", "--cluster"),
+               std::invalid_argument);
+}
+
+TEST(ParseList, RejectsPortWithTrailingText) {
+  EXPECT_THROW((void)parse_port_list("7401x", "--cluster"),
+               std::invalid_argument);
+}
+
+TEST(ParseList, RejectsPortZero) {
+  try {
+    (void)parse_port_list("7401,0", "--attach");
+    ADD_FAILURE() << "port 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--attach"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 //   fbcctl --port=7401 acquire --files=3,7,12
 //   fbcctl --port=7401 release --lease=42
 //
-// --watch re-polls the same connection (stats/metrics wire messages are
-// cheap and side-effect free) until interrupted. --cluster connects to
+// Both stats and metrics poll one MetricsRequest; stats prints only its
+// ServiceStats block. --watch re-polls the same connection (the message
+// is cheap and side-effect free) until interrupted. --cluster connects to
 // every listed port and prints the exact merge of the per-daemon
 // snapshots -- the same aggregation a ClusterRouter serves for its own
 // shards, but computed client-side for independently started daemons.
@@ -18,7 +19,6 @@
 #include <chrono>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,23 +27,13 @@
 #include "service/client.hpp"
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 using namespace fbc;
 
 namespace {
-
-std::vector<FileId> parse_files(const std::string& list) {
-  std::vector<FileId> files;
-  std::istringstream in(list);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (!token.empty())
-      files.push_back(static_cast<FileId>(std::stoul(token)));
-  }
-  return files;
-}
 
 void print_stats(const service::ServiceStats& s) {
   TextTable table({"counter", "value"});
@@ -74,17 +64,6 @@ void print_metrics(const service::MetricsSnapshot& m) {
                    format_double(h.quantile(0.99)), std::to_string(h.max())});
   }
   hists.print(std::cout);
-}
-
-std::vector<std::uint16_t> parse_ports(const std::string& list) {
-  std::vector<std::uint16_t> ports;
-  std::istringstream in(list);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (!token.empty())
-      ports.push_back(static_cast<std::uint16_t>(std::stoul(token)));
-  }
-  return ports;
 }
 
 /// Connects to one daemon, turning the bare connect errno into an
@@ -135,10 +114,11 @@ int main(int argc, char** argv) {
     cli.parse(flags);
     if (command.empty()) throw std::invalid_argument("missing command");
 
-    std::vector<std::uint16_t> ports = parse_ports(cli.get_string("cluster"));
+    std::vector<std::uint16_t> ports =
+        parse_port_list(cli.get_string("cluster"), "--cluster");
     const bool merged = !ports.empty();
-    if (!merged)
-      ports.push_back(static_cast<std::uint16_t>(cli.get_u64("port")));
+    if (!merged) ports = parse_port_list(cli.get_string("port"), "--port");
+    if (ports.empty()) throw std::invalid_argument("--port lists no port");
 
     if (command == "stats" || command == "metrics") {
       std::vector<std::unique_ptr<service::BundleClient>> clients;
@@ -163,45 +143,32 @@ int main(int argc, char** argv) {
         // A daemon that died (or restarted) between polls must not kill
         // the watch: reconnect once, and on failure skip it this round
         // and flag how many answered. One-shot polls still die loudly.
-        std::size_t reachable = 0;
-        std::vector<service::ServiceStats> stat_snaps;
-        std::vector<service::MetricsSnapshot> metric_snaps;
-        for (std::size_t i = 0; i < clients.size(); ++i) {
+        std::vector<service::MetricsSnapshot> snaps;
+        for (const auto& client : clients) {
           try {
-            if (command == "stats") {
-              stat_snaps.push_back(clients[i]->stats());
-            } else {
-              metric_snaps.push_back(clients[i]->metrics());
-            }
-            ++reachable;
+            snaps.push_back(client->metrics());
           } catch (const service::NetError&) {
             if (watch_s == 0) throw;
             try {
-              clients[i]->reconnect();
-              if (command == "stats") {
-                stat_snaps.push_back(clients[i]->stats());
-              } else {
-                metric_snaps.push_back(clients[i]->metrics());
-              }
-              ++reachable;
+              client->reconnect();
+              snaps.push_back(client->metrics());
             } catch (const service::NetError&) {
-              std::cout << "daemon 127.0.0.1:" << clients[i]->port()
+              std::cout << "daemon 127.0.0.1:" << client->port()
                         << " (down)\n";
             }
           }
         }
-        if (reachable == 0) {
+        if (snaps.empty()) {
           std::cout << "all " << clients.size() << " daemon(s) down\n";
         } else {
-          if (reachable != clients.size())
-            std::cout << "reporting " << reachable << "/" << clients.size()
+          if (snaps.size() != clients.size())
+            std::cout << "reporting " << snaps.size() << "/" << clients.size()
                       << " daemons\n";
+          const service::MetricsSnapshot m = cluster::merge_metrics(snaps);
           if (command == "stats") {
-            print_stats(merged ? cluster::merge_stats(stat_snaps)
-                               : stat_snaps.front());
+            print_stats(m.stats);
           } else {
-            print_metrics(merged ? cluster::merge_metrics(metric_snaps)
-                                 : metric_snaps.front());
+            print_metrics(m);
           }
         }
         if (watch_s == 0) break;
@@ -217,8 +184,8 @@ int main(int argc, char** argv) {
     service::BundleClient& client = *client_ptr;
 
     if (command == "acquire") {
-      const service::AcquireResult r =
-          client.acquire(parse_files(cli.get_string("files")));
+      const service::AcquireResult r = client.acquire(
+          parse_list<FileId>(cli.get_string("files"), "--files"));
       std::cout << "status=" << to_string(r.status) << " lease=" << r.lease
                 << " hit=" << (r.request_hit ? "yes" : "no")
                 << " retries=" << r.retries;

@@ -36,6 +36,7 @@
 #include "fleet.hpp"
 #include "serving_common.hpp"
 #include "service/daemon.hpp"
+#include "util/parse.hpp"
 
 using namespace fbc;
 
@@ -121,7 +122,7 @@ int main(int argc, char** argv) {
                     << " port=" << fleet[i].port << "\n";
         }
       } else {
-        ports = tools::parse_port_list(attach);
+        ports = parse_port_list(attach, "--attach");
         if (ports.empty())
           throw std::invalid_argument("--attach lists no ports");
         cluster_config.shards = static_cast<std::uint32_t>(ports.size());
@@ -169,7 +170,6 @@ int main(int argc, char** argv) {
     }
 
     daemon.stop();
-    const service::ServiceStats stats = router->stats();
     const service::MetricsSnapshot metrics = router->metrics();
     std::uint64_t single = 0;
     std::uint64_t scatter = 0;
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
       if (name == "grid.shard.down") shard_down = value;
       if (name == "grid.shard.recovered") recovered = value;
     }
-    std::cout << "fbcgrid: served " << stats.requests
+    std::cout << "fbcgrid: served " << metrics.stats.requests
               << " shard requests (" << single << " single-shard, " << scatter
               << " scattered, " << rollback << " rolled back, " << rerouted
               << " rerouted), " << daemon.connections_accepted()

@@ -14,7 +14,7 @@
 // Rules (docs/STATIC-ANALYSIS.md): L001 view-lifetime, L002 hook
 // completeness, L003 registry completeness, L004 metrics completeness,
 // L005 determinism, L006 header hygiene, L007 lock discipline, L008
-// wire/stat coherence. Suppress a finding with a `// fbclint:ignore(LNNN)`
+// wire/doc coherence. Suppress a finding with a `// fbclint:ignore(LNNN)`
 // comment (alias: `fbclint:allow`) on the offending line or the line
 // above it.
 #include <algorithm>

@@ -11,13 +11,4 @@ enum class MsgType : std::uint8_t {
   Stats = 3,
 };
 
-/// Wire stats block (L008): every field must be assigned by
-/// BundleServer::stats().
-struct ServiceStats {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;
-  // Seeded gap: the fixture BundleServer::stats() never assigns this.
-  std::uint64_t evictions = 0;  // fbclint:expect(L008) never set by stats()
-};
-
 }  // namespace fx2

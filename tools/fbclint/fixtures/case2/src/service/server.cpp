@@ -1,18 +1,9 @@
-// Fixture serving layer: stats() and the metric names it exports.
+// Fixture serving layer: the metric names it exports.
 #include "server.hpp"
 
 namespace fx2 {
 
 void export_counter(const char* name, unsigned long long value);
-
-// Fills the wire stats block -- but never assigns evictions, the seeded
-// L008 staleness gap flagged at the field's declaration in protocol.hpp.
-ServiceStats BundleServer::stats() const {
-  ServiceStats out;
-  out.requests = 1;
-  out.hits = 2;
-  return out;
-}
 
 // Exports the obs counters. svc.queue_us is documented in the fixture
 // docs; svc.hold_us is the seeded undocumented-metric gap.

@@ -7,7 +7,6 @@ namespace fx2 {
 
 class BundleServer {
  public:
-  ServiceStats stats() const;
   void counters() const;
 };
 

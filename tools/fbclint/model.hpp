@@ -118,7 +118,7 @@ struct ProjectModel {
   int metrics_hpp = -1;   // path ends cache/metrics.hpp
   int service_hpp = -1;   // path ends service/server.hpp (L008 docs root)
   int protocol_hpp = -1;  // path ends service/protocol.hpp (L008)
-  int server_cpp = -1;    // path ends service/server.cpp (L008 stats/metrics)
+  int server_cpp = -1;    // path ends service/server.cpp (L008 metrics)
   /// Observability headers: their merge()-owning classes (Histogram,
   /// CounterRegistry) get the same L004 merge-completeness scan as
   /// cache/metrics.hpp.

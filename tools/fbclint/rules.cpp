@@ -105,46 +105,6 @@ std::vector<Diagnostic> rule_hook_completeness(const ProjectModel& model) {
   return out;
 }
 
-namespace {
-
-/// Member (name token index) list of `struct Name {` in `file`; empty
-/// when the struct is absent.
-std::vector<std::size_t> struct_fields(const SourceFile& file,
-                                       const char* struct_name) {
-  std::vector<std::size_t> fields;
-  const auto& toks = file.tokens;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-        !is_ident(toks[i + 1], struct_name) || !is_punct(toks[i + 2], "{"))
-      continue;
-    const std::size_t body_close = match_forward(toks, i + 2);
-    std::size_t stmt_begin = i + 3;
-    int depth = 0;
-    bool has_paren = false;
-    for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-      if (is_punct(toks[k], "{")) ++depth;
-      if (is_punct(toks[k], "}")) --depth;
-      if (depth > 0) continue;
-      if (is_punct(toks[k], "(")) has_paren = true;
-      if (!is_punct(toks[k], ";")) continue;
-      if (!has_paren) {
-        std::size_t name_idx = 0;
-        for (std::size_t m = stmt_begin; m < k; ++m) {
-          if (is_punct(toks[m], "=")) break;
-          if (toks[m].kind == TokKind::Identifier) name_idx = m;
-        }
-        if (name_idx != 0) fields.push_back(name_idx);
-      }
-      stmt_begin = k + 1;
-      has_paren = false;
-    }
-    break;
-  }
-  return fields;
-}
-
-}  // namespace
-
 std::vector<Diagnostic> rule_registry_completeness(const ProjectModel& model) {
   std::vector<Diagnostic> out;
   if (model.registry_cpp < 0) return out;
@@ -820,7 +780,7 @@ std::vector<Diagnostic> rule_lock_discipline(const ProjectModel& model) {
 
 namespace {
 
-// ---- L008 wire/stat coherence ------------------------------------------
+// ---- L008 wire/doc coherence -------------------------------------------
 
 /// Reads a file into `out`; false when unreadable.
 bool read_text_file(const std::string& path, std::string* out) {
@@ -830,30 +790,6 @@ bool read_text_file(const std::string& path, std::string* out) {
   buffer << in.rdbuf();
   *out = buffer.str();
   return true;
-}
-
-/// Identifiers inside the body of out-of-line `Cls::method` in `file`.
-bool method_body_idents(const SourceFile& file, const char* cls,
-                        const char* method, std::set<std::string>* out) {
-  const auto& toks = file.tokens;
-  bool found = false;
-  for (std::size_t k = 0; k + 3 < toks.size(); ++k) {
-    if (!is_ident(toks[k], cls) || !is_punct(toks[k + 1], "::") ||
-        !is_ident(toks[k + 2], method) || !is_punct(toks[k + 3], "("))
-      continue;
-    const std::size_t close = match_forward(toks, k + 3);
-    for (std::size_t m = close + 1; m < std::min(close + 4, toks.size());
-         ++m) {
-      if (is_punct(toks[m], ";")) break;
-      if (!is_punct(toks[m], "{")) continue;
-      const std::size_t end = match_forward(toks, m);
-      for (std::size_t t = m; t < end && t < toks.size(); ++t)
-        if (toks[t].kind == TokKind::Identifier) out->insert(toks[t].text);
-      found = true;
-      break;
-    }
-  }
-  return found;
 }
 
 /// "a-z0-9_." with at least one interior dot: the shape of every obs
@@ -916,27 +852,7 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
     read_text_file(docs_root + "docs/OBSERVABILITY.md", &observability_md);
     read_text_file(docs_root + "docs/CLUSTER.md", &cluster_md);
   }
-  // (a) Every ServiceStats field must be assigned by BundleServer::stats().
-  // (The codec walks kServiceStatsFields, whose arity check is a
-  // compile-time guarantee, and the SERVING.md StatsReply row names that
-  // list instead of counting it.)
-  if (model.server_cpp >= 0) {
-    const SourceFile& server_cpp =
-        model.files[static_cast<std::size_t>(model.server_cpp)];
-    std::set<std::string> stats_idents;
-    if (method_body_idents(server_cpp, "BundleServer", "stats",
-                           &stats_idents)) {
-      for (const std::size_t f : struct_fields(proto_hpp, "ServiceStats"))
-        if (stats_idents.count(proto_hpp.tokens[f].text) == 0)
-          out.push_back({"L008", proto_hpp.path, proto_hpp.tokens[f].line,
-                         "ServiceStats field '" + proto_hpp.tokens[f].text +
-                             "' is never assigned by "
-                             "BundleServer::stats(); it goes over the "
-                             "wire as a stale zero"});
-    }
-  }
-
-  // (b) Every explicitly numbered MsgType enumerator needs its
+  // (a) Every explicitly numbered MsgType enumerator needs its
   // `| value | Name |` row in the SERVING.md wire table.
   if (have_serving) {
     std::vector<std::string> stripped;
@@ -976,7 +892,7 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
     }
   }
 
-  // (c) Every metric-shaped string literal in server.cpp and the cluster
+  // (b) Every metric-shaped string literal in server.cpp and the cluster
   // router (the only files that mint obs counter/histogram names) must
   // be documented.
   for (const int minting : {model.server_cpp, model.router_cpp}) {

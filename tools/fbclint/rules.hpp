@@ -12,8 +12,7 @@
 //   L006 header hygiene       #pragma once, no `using namespace` in headers
 //   L007 lock discipline      fbc:lock-level ordering, fbc:guards coverage,
 //                             no blocking calls under a level-tagged lock
-//   L008 wire/stat coherence  ServiceStats fields assigned by stats(),
-//                             MsgType values in the SERVING.md wire table,
+//   L008 wire/doc coherence   MsgType values in the SERVING.md wire table,
 //                             metric names in the docs
 #pragma once
 

@@ -397,7 +397,7 @@ int main(int argc, char** argv) {
       } else {
         mss = std::make_unique<MassStorageSystem>(default_tiers(),
                                                   workload.catalog);
-        tools::place_tier_mix(*mss, cli);
+        place_tier_mix(*mss, cli.get_string("tier-mix"), cli.get_u64("wseed"));
         server = std::make_unique<service::BundleServer>(config, *mss);
         endpoint = server.get();
       }

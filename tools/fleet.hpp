@@ -20,7 +20,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,18 +34,6 @@ struct ShardProcess {
   bool exited = false;      ///< reaped?
   int wait_status = 0;      ///< waitpid status, valid once exited
 };
-
-/// Parses "7401,7411,7421" (the --attach flag).
-inline std::vector<std::uint16_t> parse_port_list(const std::string& list) {
-  std::vector<std::uint16_t> ports;
-  std::istringstream in(list);
-  std::string token;
-  while (std::getline(in, token, ',')) {
-    if (!token.empty())
-      ports.push_back(static_cast<std::uint16_t>(std::stoul(token)));
-  }
-  return ports;
-}
 
 /// Forks and execs one shard daemon, then blocks until it prints its
 /// "listening on 127.0.0.1:PORT" startup line (the parseable contract

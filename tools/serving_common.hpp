@@ -27,7 +27,6 @@
 #include "grid/replica.hpp"
 #include "service/server.hpp"
 #include "testing/oracles.hpp"
-#include "util/rng.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/workload.hpp"
 
@@ -169,8 +168,6 @@ inline std::vector<std::string> shard_daemon_args(const CliParser& cli,
   return args;
 }
 
-inline void place_tier_mix(MassStorageSystem& mss, const CliParser& cli);
-
 /// The storage substrate behind a cluster: a plain tiered MSS, or a
 /// ReplicaManager when --replica-sites asks for replica-aware fetch.
 /// Exactly one of the owned pointers is set; `backend` aliases it.
@@ -194,7 +191,7 @@ inline ClusterBackend make_cluster_backend(
   if (cluster_config.replica_sites == 0) {
     out.mss =
         std::make_unique<MassStorageSystem>(default_tiers(), workload.catalog);
-    place_tier_mix(*out.mss, cli);
+    place_tier_mix(*out.mss, cli.get_string("tier-mix"), cli.get_u64("wseed"));
     out.backend = out.mss.get();
     return out;
   }
@@ -344,26 +341,6 @@ inline Workload build_scenario_workload(const CliParser& cli,
     return generate_bitmap_workload(config);
   }
   throw std::invalid_argument("unknown --scenario: " + scenario);
-}
-
-/// Spreads catalog files over the default three MSS tiers per --tier-mix,
-/// with the same deterministic placement fbcsrm uses.
-inline void place_tier_mix(MassStorageSystem& mss, const CliParser& cli) {
-  const std::string mix = cli.get_string("tier-mix");
-  const auto comma = mix.find(',');
-  if (comma == std::string::npos)
-    throw std::invalid_argument("--tier-mix needs 'tape,remote' fractions");
-  const double tape_frac = std::stod(mix.substr(0, comma));
-  const double remote_frac = std::stod(mix.substr(comma + 1));
-  Rng placement_rng(cli.get_u64("wseed") + 17);
-  for (FileId id = 0; id < mss.catalog().count(); ++id) {
-    const double roll = placement_rng.uniform_double();
-    if (roll < tape_frac) {
-      mss.place_file(id, 1);
-    } else if (roll < tape_frac + remote_frac) {
-      mss.place_file(id, 2);
-    }
-  }
 }
 
 }  // namespace fbc::tools
