@@ -162,6 +162,14 @@ def main():
         sys.stdout.write(out)
         if grid.returncode != 0:
             fail(f"fbcgrid exited {grid.returncode}")
+        # Both loads above exited 0, so the surviving shards served jobs;
+        # an exit report of 0 means it read shards that were already
+        # closed.
+        served = re.search(r"fbcgrid: served (\d+) shard requests", out)
+        if served is None:
+            fail("fbcgrid printed no 'served N shard requests' exit line")
+        if int(served.group(1)) == 0:
+            fail("fbcgrid's exit report says 0 shard requests were served")
         print("smoke_multiprocess: PASS")
     finally:
         if grid.poll() is None:

@@ -78,12 +78,12 @@ bool DiskCache::evict(FileId id) {
 
 void DiskCache::pin(FileId id) {
   assert(contains(id));
-  ++pins_[id];
+  if (pins_[id]++ == 0) pinned_bytes_ += catalog_->size_of(id);
 }
 
 void DiskCache::unpin(FileId id) {
   assert(id < pins_.size() && pins_[id] > 0);
-  --pins_[id];
+  if (--pins_[id] == 0) pinned_bytes_ -= catalog_->size_of(id);
 }
 
 bool DiskCache::pinned(FileId id) const noexcept {

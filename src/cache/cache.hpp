@@ -70,6 +70,10 @@ class DiskCache {
   /// True when `id` has at least one outstanding pin.
   [[nodiscard]] bool pinned(FileId id) const noexcept;
 
+  /// Total size of the files with at least one outstanding pin (all of
+  /// them resident: a pinned file cannot be evicted).
+  [[nodiscard]] Bytes pinned_bytes() const noexcept { return pinned_bytes_; }
+
   /// Read-only snapshot view of resident file ids (unspecified order; stable
   /// between mutations).
   [[nodiscard]] std::span<const FileId> resident_files() const noexcept {
@@ -89,6 +93,7 @@ class DiskCache {
 
   Bytes capacity_;
   Bytes used_ = 0;
+  Bytes pinned_bytes_ = 0;
   const FileCatalog* catalog_;
   // Dense membership/pins keyed by FileId for O(1) lookups, plus a compact
   // list for iteration. slot_[id] is the index of id in resident_list_, or

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "cluster/stats.hpp"
+#include "obs/counter.hpp"
 #include "service/net.hpp"
 
 namespace fbc::cluster {
@@ -29,13 +30,32 @@ ClusterRouter::ClusterRouter(const ClusterConfig& config,
 
 ClusterRouter::~ClusterRouter() { close(); }
 
-void ClusterRouter::bump(const char* counter) const {
-  std::lock_guard<OrderedMutex> lock(grid_obs_mu_);
-  grid_counters_.add(counter);
+constexpr std::array<std::string_view, ClusterRouter::kGridCounterCount>
+    ClusterRouter::kGridCounterNames = {
+        "grid.acquire.no_shard", "grid.acquire.rerouted",
+        "grid.acquire.rollback", "grid.acquire.scatter",
+        "grid.acquire.single",   "grid.release.deferred",
+        "grid.release.partial",  "grid.release.unknown",
+        "grid.shard.down",       "grid.shard.recovered",
+        "grid.stats.partial",
+};
+
+void ClusterRouter::refresh_troubled_locked() const {
+  bool troubled = false;
+  for (std::size_t s = 0; s < shards_.size() && !troubled; ++s) {
+    const ShardHealth& h = health_[s];
+    troubled = h.consecutive != 0 || h.down || !pending_release_[s].empty();
+  }
+  troubled_.store(troubled, std::memory_order_release);
 }
 
 std::vector<bool> ClusterRouter::routable_snapshot(
     const std::vector<bool>& excluded) const {
+  if (!troubled_.load(std::memory_order_acquire)) {
+    std::vector<bool> live(excluded);
+    live.flip();
+    return live;
+  }
   const Clock::time_point now = Clock::now();
   std::vector<bool> live(shards_.size(), false);
   std::lock_guard<OrderedMutex> lock(route_mu_);
@@ -56,6 +76,7 @@ std::vector<bool> ClusterRouter::routable_snapshot(
 }
 
 bool ClusterRouter::should_attempt(std::uint32_t shard) const {
+  if (!troubled_.load(std::memory_order_acquire)) return true;
   const Clock::time_point now = Clock::now();
   std::lock_guard<OrderedMutex> lock(route_mu_);
   ShardHealth& h = health_[shard];
@@ -68,6 +89,8 @@ bool ClusterRouter::should_attempt(std::uint32_t shard) const {
 }
 
 void ClusterRouter::record_success(std::uint32_t shard) const {
+  // No streak, down mark or parked release anywhere: nothing to reset.
+  if (!troubled_.load(std::memory_order_acquire)) return;
   std::vector<LeaseId> pending;
   bool recovered = false;
   {
@@ -83,8 +106,9 @@ void ClusterRouter::record_success(std::uint32_t shard) const {
     // a down -> up transition.
     pending = std::move(pending_release_[shard]);
     pending_release_[shard].clear();
+    refresh_troubled_locked();
   }
-  if (recovered) bump("grid.shard.recovered");
+  if (recovered) bump(kShardRecovered);
   if (pending.empty()) return;
   // Flush releases deferred while the shard was gone. A rebooted shard
   // that lost its lease table answers false (counted unknown below via
@@ -114,9 +138,10 @@ void ClusterRouter::record_failure(std::uint32_t shard) const {
           Clock::now() + std::chrono::milliseconds(config_.probe_ms);
       went_down = true;
     }
+    refresh_troubled_locked();
   }
   if (!went_down) return;
-  bump("grid.shard.down");
+  bump(kShardDown);
   // Pooled connections to a crashed daemon are all poisoned; drop them
   // so the recovery probe dials fresh.
   shards_[shard]->invalidate_pool();
@@ -126,8 +151,9 @@ void ClusterRouter::defer_release(std::uint32_t shard, LeaseId lease) const {
   {
     std::lock_guard<OrderedMutex> lock(route_mu_);
     pending_release_[shard].push_back(lease);
+    refresh_troubled_locked();
   }
-  bump("grid.release.deferred");
+  bump(kReleaseDeferred);
 }
 
 service::AcquireResult ClusterRouter::shard_acquire(std::uint32_t shard,
@@ -164,7 +190,7 @@ service::AcquireResult ClusterRouter::acquire(const Request& request) {
     if (plan.parts.empty()) break;  // no live shard left
     if (plan.rerouted && !rerouted) {
       rerouted = true;
-      bump("grid.acquire.rerouted");
+      bump(kAcquireRerouted);
     }
     try {
       return plan.split() ? acquire_scatter(plan)
@@ -174,11 +200,11 @@ service::AcquireResult ClusterRouter::acquire(const Request& request) {
       excluded[dead.shard] = true;
       if (!rerouted) {
         rerouted = true;
-        bump("grid.acquire.rerouted");
+        bump(kAcquireRerouted);
       }
     }
   }
-  bump("grid.acquire.no_shard");
+  bump(kAcquireNoShard);
   return {service::AcquireStatus::ShardsDown, 0, false, 0, 0};
 }
 
@@ -190,7 +216,7 @@ service::AcquireResult ClusterRouter::acquire_single(const SubRequest& part) {
           "ClusterRouter: shard lease id overflows the router tag byte");
     result.lease |= static_cast<LeaseId>(part.shard + 1) << kShardShift;
   }
-  bump("grid.acquire.single");
+  bump(kAcquireSingle);
   return result;
 }
 
@@ -213,7 +239,7 @@ service::AcquireResult ClusterRouter::acquire_scatter(
       } catch (...) {
       }
     }
-    bump("grid.acquire.rollback");
+    bump(kAcquireRollback);
   };
 
   service::AcquireResult gathered;
@@ -252,7 +278,7 @@ service::AcquireResult ClusterRouter::acquire_scatter(
     scatter_.emplace(id, std::move(granted));
     gathered.lease = id;  // top byte 0 == scatter tag
   }
-  bump("grid.acquire.scatter");
+  bump(kAcquireScatter);
   return gathered;
 }
 
@@ -280,7 +306,7 @@ bool ClusterRouter::release(LeaseId lease) {
   if (tag != 0) {
     const std::size_t shard = static_cast<std::size_t>(tag) - 1;
     if (shard >= shards_.size()) {
-      bump("grid.release.unknown");
+      bump(kReleaseUnknown);
       return false;
     }
     bool ok = false;
@@ -288,23 +314,26 @@ bool ClusterRouter::release(LeaseId lease) {
                      &ok)) {
       // Deferred: the pin is safe and will be reclaimed on recovery, so
       // the client's release is accepted.
-      bump("grid.release.partial");
+      bump(kReleasePartial);
       return true;
     }
-    if (!ok) bump("grid.release.unknown");
+    if (!ok) bump(kReleaseUnknown);
     return ok;
   }
   std::vector<std::pair<std::uint32_t, LeaseId>> parts;
+  bool known = false;
   {
     std::lock_guard<OrderedMutex> lock(route_mu_);
     auto it = scatter_.find(lease);
-    if (it == scatter_.end()) {
-      std::lock_guard<OrderedMutex> obs(grid_obs_mu_);
-      grid_counters_.add("grid.release.unknown");
-      return false;
+    if (it != scatter_.end()) {
+      known = true;
+      parts = std::move(it->second);
+      scatter_.erase(it);
     }
-    parts = std::move(it->second);
-    scatter_.erase(it);
+  }
+  if (!known) {
+    bump(kReleaseUnknown);
+    return false;
   }
   // Every part is attempted even if one shard throws mid-loop (the old
   // code let the exception escape here, leaking the remaining shards'
@@ -318,7 +347,7 @@ bool ClusterRouter::release(LeaseId lease) {
     else
       partial = true;  // deferred, not lost
   }
-  if (partial) bump("grid.release.partial");
+  if (partial) bump(kReleasePartial);
   return all_ok;
 }
 
@@ -340,16 +369,18 @@ service::MetricsSnapshot ClusterRouter::metrics() const {
     }
     record_success(static_cast<std::uint32_t>(s));
   }
-  if (skipped != 0) bump("grid.stats.partial");
+  if (skipped != 0) bump(kStatsPartial);
   service::MetricsSnapshot merged = merge_metrics(per_shard);
   // Fold the router's own counters in, keeping the name list sorted.
   obs::CounterRegistry all;
   for (const obs::CounterSample& c : merged.counters) all.add(c.first, c.second);
-  {
-    std::lock_guard<OrderedMutex> lock(grid_obs_mu_);
-    for (const obs::CounterSample& c : grid_counters_.snapshot())
-      all.add(c.first, c.second);
-  }
+  static_assert(std::ranges::none_of(kGridCounterNames,
+                                     &std::string_view::empty),
+                "every GridCounter needs a name in kGridCounterNames");
+  for (std::size_t c = 0; c < kGridCounterCount; ++c)
+    if (const std::uint64_t v =
+            grid_counters_[c].load(std::memory_order_relaxed))
+      all.add(kGridCounterNames[c], v);
   merged.counters = all.snapshot();
   return merged;
 }

@@ -35,17 +35,24 @@
 // allocate small dense ids, so the top byte is free in practice; the
 // router rejects a shard lease that collides with the tag space.
 //
-// Lock levels: route_mu_ = 5 and grid_obs_mu_ = 6 sit *below* every
-// server-internal level (BundleServer::mu_ = 10...) in the documented
-// hierarchy, so holding them while calling into a shard would be legal;
-// the router still never does -- shard calls block on staging I/O, and
-// no lock should span them.
+// Healthy path: while no shard has a failure streak, a down mark or a
+// parked release, an atomic flag (troubled_) stays clear and routing,
+// release and health accounting read nothing under route_mu_; a
+// single-shard acquire plus release then takes no router-wide lock. The
+// grid.* counters are relaxed atomics.
+//
+// Lock level: route_mu_ = 5 sits *below* every server-internal level
+// (BundleServer::mu_ = 10...) in the documented hierarchy, so holding it
+// while calling into a shard would be legal; the router still never
+// does -- shard calls block on staging I/O, and no lock should span them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -54,7 +61,6 @@
 #include "cluster/config.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/shard.hpp"
-#include "obs/counter.hpp"
 #include "service/endpoint.hpp"
 #include "util/ordered_mutex.hpp"
 
@@ -175,7 +181,35 @@ class ClusterRouter final : public service::ServingEndpoint {
   /// record_success on recovery).
   void defer_release(std::uint32_t shard, LeaseId lease) const;
 
-  void bump(const char* counter) const;
+  /// Re-derives troubled_ from health_ and pending_release_; called after
+  /// every change to either.
+  // fbc:requires(route_mu_)
+  void refresh_troubled_locked() const;
+
+  /// Router-level counters (job-level view, vs the shards' sub-request
+  /// view). metrics() exports grid_counters_[c] as kGridCounterNames[c]
+  /// once it is non-zero, exactly as a name-keyed registry bumped by one
+  /// would.
+  enum GridCounter : std::size_t {
+    kAcquireNoShard,
+    kAcquireRerouted,
+    kAcquireRollback,
+    kAcquireScatter,
+    kAcquireSingle,
+    kReleaseDeferred,
+    kReleasePartial,
+    kReleaseUnknown,
+    kShardDown,
+    kShardRecovered,
+    kStatsPartial,
+    kGridCounterCount
+  };
+  static const std::array<std::string_view, kGridCounterCount>
+      kGridCounterNames;
+
+  void bump(GridCounter counter) const {
+    grid_counters_[counter].fetch_add(1, std::memory_order_relaxed);
+  }
 
   ClusterConfig config_;
   Placement placement_;
@@ -203,15 +237,16 @@ class ClusterRouter final : public service::ServingEndpoint {
   LeaseId next_scatter_id_ = 1;
   mutable std::vector<ShardHealth> health_;
   mutable std::vector<std::vector<LeaseId>> pending_release_;
+  /// True while some shard has a failure streak, a down mark or a parked
+  /// release. Stored only under route_mu_ (refresh_troubled_locked); read
+  /// without it. While clear, routable_snapshot, should_attempt and
+  /// record_success have nothing to read or reset and skip route_mu_. A
+  /// reader that saw it clear acted before the trouble, which the locked
+  /// path would also allow.
+  mutable std::atomic<bool> troubled_{false};
 
-  // Router-level counters (job-level view, vs the shards' sub-request
-  // view): grid.acquire.single / .scatter / .rollback / .rerouted,
-  // grid.release.unknown / .partial / .deferred, grid.shard.down /
-  // .recovered, grid.stats.partial.
-  // fbc:lock-level(6)
-  // fbc:guards(grid_counters_)
-  mutable OrderedMutex grid_obs_mu_{6, "ClusterRouter::grid_obs_mu_"};
-  mutable obs::CounterRegistry grid_counters_;
+  mutable std::array<std::atomic<std::uint64_t>, kGridCounterCount>
+      grid_counters_{};
 };
 
 }  // namespace fbc::cluster

@@ -51,7 +51,8 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
   // Files pinned by other in-flight jobs (multi-slot SRM, cluster nodes)
   // cannot be evicted: they stay regardless, so they are free to the
   // selection but their bytes shrink the budget.
-  std::vector<FileId> reserved(request.files);
+  std::vector<FileId>& reserved = reserved_;
+  reserved.assign(request.files.begin(), request.files.end());
   Bytes pinned_bytes = 0;
   for (FileId id : cache.resident_files()) {
     if (cache.pinned(id) && !request.contains(id)) {
@@ -101,12 +102,22 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
   const SelectionResult& keep = last_selection_;
 
   // Step 3 (inverted): everything resident that is neither selected, nor
-  // part of the incoming bundle, nor pinned elsewhere is evicted.
-  // keep.files is sorted, so a binary search suffices.
+  // part of the incoming bundle, nor pinned elsewhere is evicted. The
+  // kept files are stamped with this decision's epoch in a dense per-file
+  // table, so the scan is one load per resident file.
+  if (++epoch_ == 0) {  // wrapped: stale stamps could read as current
+    std::fill(kept_epoch_.begin(), kept_epoch_.end(), 0);
+    epoch_ = 1;
+  }
+  const auto keep_file = [this](FileId id) {
+    if (id >= kept_epoch_.size()) kept_epoch_.resize(std::size_t{id} + 1, 0);
+    kept_epoch_[id] = epoch_;
+  };
+  for (FileId id : reserved) keep_file(id);
+  for (FileId id : keep.files) keep_file(id);
   std::vector<FileId> victims;
   for (FileId id : cache.resident_files()) {
-    if (std::binary_search(reserved.begin(), reserved.end(), id)) continue;
-    if (std::binary_search(keep.files.begin(), keep.files.end(), id)) continue;
+    if (id < kept_epoch_.size() && kept_epoch_[id] == epoch_) continue;
     victims.push_back(id);
   }
 

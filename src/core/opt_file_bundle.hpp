@@ -20,7 +20,9 @@
 // 1 / adjusted bundle size instead of all tying at zero.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cache/policy.hpp"
 #include "core/incremental_select.hpp"
@@ -126,6 +128,12 @@ class OptFileBundlePolicy : public ReplacementPolicy {
   SelectionResult last_selection_;
   std::size_t last_candidates_ = 0;
   std::vector<FileId> pending_prefetch_;
+  /// select_victims scratch, reused across decisions: the sorted reserved
+  /// set (incoming bundle plus files pinned elsewhere), and per FileId the
+  /// epoch of the last decision that kept it.
+  std::vector<FileId> reserved_;
+  std::vector<std::uint32_t> kept_epoch_;
+  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace fbc

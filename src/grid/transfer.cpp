@@ -1,7 +1,7 @@
 #include "grid/transfer.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <vector>
 
 namespace fbc {
@@ -11,20 +11,23 @@ double TransferModel::stage_seconds(std::span<const FileId> files,
   if (files.empty()) return 0.0;
   const std::size_t streams = std::max<std::size_t>(1, max_parallel);
 
-  std::vector<double> durations;
-  durations.reserve(files.size());
+  // Per-thread scratch, reused across calls: once it has grown to the
+  // largest bundle and stream count seen, staging allocates nothing.
+  thread_local std::vector<double> durations;
+  thread_local std::vector<double> loads;
+  durations.clear();
   for (FileId id : files) durations.push_back(mss.fetch_seconds(id));
-  // LPT: longest first onto the least-loaded stream.
+  // LPT: longest first onto the least-loaded stream. `loads` is a
+  // min-heap of per-stream finish times.
   std::sort(durations.begin(), durations.end(), std::greater<>());
 
-  std::priority_queue<double, std::vector<double>, std::greater<>> loads;
-  for (std::size_t s = 0; s < streams; ++s) loads.push(0.0);
+  loads.assign(streams, 0.0);
   double makespan = 0.0;
   for (double d : durations) {
-    const double load = loads.top() + d;
-    loads.pop();
-    loads.push(load);
-    makespan = std::max(makespan, load);
+    std::pop_heap(loads.begin(), loads.end(), std::greater<>());
+    loads.back() += d;
+    makespan = std::max(makespan, loads.back());
+    std::push_heap(loads.begin(), loads.end(), std::greater<>());
   }
   return makespan;
 }

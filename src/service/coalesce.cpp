@@ -10,19 +10,25 @@ void FetchCoalescer::begin_fetch(std::span<const FileId> files) {
   if (files.empty()) return;
   std::lock_guard<OrderedMutex> lock(inflight_mu_);
   ++transfers_;
-  for (FileId id : files) ++in_flight_[id];
+  for (FileId id : files) {
+    if (id >= in_flight_.size()) in_flight_.resize(std::size_t{id} + 1, 0);
+    if (in_flight_[id]++ == 0) ++in_flight_files_;
+  }
 }
 
 void FetchCoalescer::complete_fetch(std::span<const FileId> files) {
   if (files.empty()) return;
+  bool wake = false;
   {
     std::lock_guard<OrderedMutex> lock(inflight_mu_);
     for (FileId id : files) {
-      const auto it = in_flight_.find(id);
-      if (it != in_flight_.end() && --it->second == 0) in_flight_.erase(it);
+      if (staging_count(id) != 0 && --in_flight_[id] == 0) --in_flight_files_;
     }
+    // A waiter bumps parked_ under this lock before it waits, so a zero
+    // here means nobody can miss this completion.
+    wake = parked_ > 0;
   }
-  cv_.notify_all();
+  if (wake) cv_.notify_all();
 }
 
 CoalesceWait FetchCoalescer::wait_for(std::span<const FileId> files) {
@@ -31,19 +37,21 @@ CoalesceWait FetchCoalescer::wait_for(std::span<const FileId> files) {
   std::unique_lock<OrderedMutex> lock(inflight_mu_);
   std::size_t overlapping = 0;
   for (FileId id : files) {
-    if (in_flight_.count(id) != 0) ++overlapping;
+    if (staging_count(id) != 0) ++overlapping;
   }
   if (overlapping == 0) return result;
   ++coalesced_waits_;
   result.waited_files = overlapping;
   const BlockingRegion blocked;
   const auto start = std::chrono::steady_clock::now();
+  ++parked_;
   cv_.wait(lock, [&] {
     for (FileId id : files) {
-      if (in_flight_.count(id) != 0) return false;
+      if (staging_count(id) != 0) return false;
     }
     return true;
   });
+  --parked_;
   result.wait_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
@@ -63,7 +71,7 @@ std::uint64_t FetchCoalescer::coalesced_waits() const {
 
 std::size_t FetchCoalescer::in_flight() const {
   std::lock_guard<OrderedMutex> lock(inflight_mu_);
-  return in_flight_.size();
+  return in_flight_files_;
 }
 
 }  // namespace fbc::service

@@ -21,7 +21,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "cache/types.hpp"
 #include "util/ordered_mutex.hpp"
@@ -43,7 +43,8 @@ class FetchCoalescer {
   /// while leases pin them, but be defensive) are counted per owner.
   void begin_fetch(std::span<const FileId> files);
 
-  /// Marks `files` arrived and wakes every waiter.
+  /// Marks `files` arrived and wakes every waiter (a no-op on the
+  /// condition variable while none is parked).
   void complete_fetch(std::span<const FileId> files);
 
   /// Blocks until no file of `files` is in-flight. Returns what was
@@ -63,12 +64,23 @@ class FetchCoalescer {
   [[nodiscard]] std::size_t in_flight() const;
 
  private:
+  /// Transfers currently staging `id` (0 for ids past the table's end).
+  // fbc:requires(inflight_mu_)
+  [[nodiscard]] std::uint32_t staging_count(FileId id) const noexcept {
+    return id < in_flight_.size() ? in_flight_[id] : 0;
+  }
+
   // fbc:lock-level(30)
-  // fbc:guards(in_flight_, transfers_, coalesced_waits_)
+  // fbc:guards(in_flight_, in_flight_files_, parked_)
+  // fbc:guards(transfers_, coalesced_waits_)
   mutable OrderedMutex inflight_mu_{30, "FetchCoalescer::inflight_mu_"};
   std::condition_variable_any cv_;
-  /// file -> number of transfers currently staging it.
-  std::unordered_map<FileId, std::uint32_t> in_flight_;
+  /// Dense FileId -> number of transfers currently staging it; grows to
+  /// the largest id ever fetched, so steady-state fetches allocate nothing.
+  std::vector<std::uint32_t> in_flight_;
+  std::size_t in_flight_files_ = 0;  ///< non-zero cells of in_flight_
+  /// Threads inside cv_.wait; complete_fetch skips the notify at zero.
+  std::size_t parked_ = 0;
   std::uint64_t transfers_ = 0;
   std::uint64_t coalesced_waits_ = 0;
 };

@@ -14,6 +14,7 @@
 // grant or release is one step of the admission critical section.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 
@@ -25,14 +26,26 @@ namespace fbc::service {
 /// Registry of outstanding pin leases over one DiskCache.
 class LeaseTable {
  public:
-  /// Pins every file of `request` in `cache` and records the lease.
-  /// Precondition: every file of the bundle is resident. Lease ids are
-  /// dense, start at 1, and are never reused within a server lifetime.
-  [[nodiscard]] LeaseId grant(const Request& request, DiskCache& cache);
+  using TimePoint = std::chrono::steady_clock::time_point;
+
+  /// One live lease: the pinned bundle and when it was granted (the
+  /// lease.hold_us histogram reads the instant back on release).
+  struct Lease {
+    Request bundle;
+    TimePoint granted_at{};
+  };
+
+  /// Pins every file of `request` in `cache` and records the lease,
+  /// stamped `granted_at`. Precondition: every file of the bundle is
+  /// resident. Lease ids are dense, start at 1, and are never reused
+  /// within a server lifetime.
+  [[nodiscard]] LeaseId grant(const Request& request, DiskCache& cache,
+                              TimePoint granted_at = {});
 
   /// Unpins the lease's files and forgets it. Returns false for unknown
-  /// (or already released) ids.
-  bool release(LeaseId id, DiskCache& cache);
+  /// (or already released) ids; otherwise stores the grant instant
+  /// through `granted_at` when non-null.
+  bool release(LeaseId id, DiskCache& cache, TimePoint* granted_at = nullptr);
 
   /// Outstanding lease count.
   [[nodiscard]] std::size_t active() const noexcept { return leases_.size(); }
@@ -50,12 +63,12 @@ class LeaseTable {
   void release_all(DiskCache& cache);
 
   /// Read-only view of the live table in lease-id order, for audits.
-  [[nodiscard]] const std::map<LeaseId, Request>& leases() const noexcept {
+  [[nodiscard]] const std::map<LeaseId, Lease>& leases() const noexcept {
     return leases_;
   }
 
  private:
-  std::map<LeaseId, Request> leases_;
+  std::map<LeaseId, Lease> leases_;
   LeaseId next_ = 1;
 };
 

@@ -118,26 +118,26 @@ bool read_full(int fd, std::uint8_t* data, std::size_t len) {
 FrameReader::Fill FrameReader::fill(int fd, bool block) {
   // Compact once the consumed prefix dominates, so the buffer does not
   // creep rightward forever on a long-lived connection.
-  if (pos_ > 0 && pos_ >= buf_.size() / 2) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+  if (pos_ > 0 && pos_ >= len_ / 2) {
+    std::memmove(buf_.data(), buf_.data() + pos_, len_ - pos_);
+    len_ -= pos_;
     pos_ = 0;
   }
+  // buf_ only grows: its size is the capacity, len_ the filled prefix, so
+  // a recv into room already there initializes nothing.
   constexpr std::size_t chunk = 16 * 1024;
-  const std::size_t old_size = buf_.size();
-  buf_.resize(old_size + chunk);
+  if (buf_.size() - len_ < chunk) buf_.resize(len_ + chunk);
   for (;;) {
-    const ssize_t n =
-        ::recv(fd, buf_.data() + old_size, chunk, block ? 0 : MSG_DONTWAIT);
+    const ssize_t n = ::recv(fd, buf_.data() + len_, buf_.size() - len_,
+                             block ? 0 : MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      buf_.resize(old_size);
       if (!block && (errno == EAGAIN || errno == EWOULDBLOCK))
         return Fill::Empty;
       if (errno == ECONNRESET) return Fill::Eof;
       throw_errno("recv");
     }
-    buf_.resize(old_size + static_cast<std::size_t>(n));
+    len_ += static_cast<std::size_t>(n);
     return n == 0 ? Fill::Eof : Fill::Data;
   }
 }
@@ -151,8 +151,8 @@ std::optional<Message> FrameReader::take() {
       header.type,
       {buf_.data() + pos_ + kFrameHeaderBytes, header.payload_len});
   pos_ += kFrameHeaderBytes + header.payload_len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
+  if (pos_ == len_) {
+    len_ = 0;
     pos_ = 0;
   }
   return message;

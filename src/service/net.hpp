@@ -120,12 +120,11 @@ class FrameReader {
   Fill fill(int fd, bool block);
   /// Decodes one message if the buffer holds a complete frame.
   [[nodiscard]] std::optional<Message> take();
-  [[nodiscard]] std::size_t have() const noexcept {
-    return buf_.size() - pos_;
-  }
+  [[nodiscard]] std::size_t have() const noexcept { return len_ - pos_; }
 
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;  ///< consumed prefix of buf_
+  std::vector<std::uint8_t> buf_;  ///< size() is the capacity in use
+  std::size_t len_ = 0;  ///< filled prefix of buf_
+  std::size_t pos_ = 0;  ///< consumed prefix of the filled bytes
 };
 
 /// Encodes and writes one frame. Returns false if the peer is gone.

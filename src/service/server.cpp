@@ -77,13 +77,13 @@ BundleServer::~BundleServer() { close(); }
 void BundleServer::close() {
   std::lock_guard<OrderedMutex> lock(mu_);
   closed_ = true;
-  cv_.notify_all();
+  notify_locked();
 }
 
 void BundleServer::set_admission_paused(bool paused) {
   std::lock_guard<OrderedMutex> lock(mu_);
   paused_ = paused;
-  cv_.notify_all();
+  notify_locked();
 }
 
 bool BundleServer::admission_paused() const {
@@ -118,25 +118,33 @@ std::size_t BundleServer::choose_locked() const {
 }
 
 bool BundleServer::fits_locked(const Request& request) const {
-  const Bytes missing = cache_.missing_bytes(request);
-  if (missing <= cache_.free_bytes()) return true;
-  Bytes evictable = 0;
-  for (FileId id : cache_.resident_files()) {
-    if (!cache_.pinned(id) && !request.contains(id))
-      evictable += mss_->catalog().size_of(id);
+  // Resident bytes split into pinned files, the bundle's own unpinned
+  // files and the evictable rest, so one pass over the (canonical)
+  // bundle prices the fit without walking the resident set.
+  const FileCatalog& catalog = mss_->catalog();
+  Bytes missing = 0;
+  Bytes kept = cache_.pinned_bytes();
+  for (FileId id : request.files) {
+    if (!cache_.contains(id))
+      missing += catalog.size_of(id);
+    else if (!cache_.pinned(id))
+      kept += catalog.size_of(id);
   }
+  const Bytes evictable = cache_.used_bytes() - kept;
   return missing <= cache_.free_bytes() + evictable;
 }
 
 LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
-                                   bool* request_hit, double* stage_s,
+                                   Clock::time_point* granted_at,
+                                   bool* request_hit,
                                    std::vector<FileId>* fetched) {
   policy_->on_job_arrival(request, cache_);
-  std::vector<FileId> missing = cache_.missing_files(request);
+  std::vector<FileId>& missing = *fetched;
+  for (FileId id : request.files)
+    if (!cache_.contains(id)) missing.push_back(id);
   const Bytes missing_bytes = mss_->catalog().bundle_bytes(missing);
   metrics_.record_job(bundle_bytes, missing_bytes, request.size(),
                       request.size() - missing.size());
-  *stage_s = 0.0;
   if (missing.empty()) {
     *request_hit = true;
     policy_->on_request_hit(request, cache_);
@@ -155,7 +163,6 @@ LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
     }
     for (FileId id : missing) cache_.insert(id);
     policy_->on_files_loaded(request, missing, cache_);
-    *stage_s = transfers_.stage_seconds(missing, *mss_);
     // Register the transfer as in-flight before anyone else can be
     // granted an overlapping bundle: begin_fetch under mu_ closes the
     // window between "reserved (files look resident)" and "in-flight set
@@ -163,9 +170,8 @@ LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
     // only order that ever occurs.
     coalescer_.begin_fetch(missing);
   }
-  const LeaseId lease = leases_.grant(request, cache_);
-  *fetched = std::move(missing);
-  return lease;
+  *granted_at = Clock::now();
+  return leases_.grant(request, cache_, *granted_at);
 }
 
 std::size_t BundleServer::drain_locked() {
@@ -187,7 +193,7 @@ std::size_t BundleServer::drain_locked() {
         fail_rng_.bernoulli(config_.transfer_fail_prob)) {
       ++head.failed_attempts;
       head.state = Waiter::State::Backoff;
-      cv_.notify_all();
+      notify_locked();
       break;  // head-of-line: nothing behind it admits this pass
     }
     head.t_admit = Clock::now();
@@ -195,17 +201,15 @@ std::size_t BundleServer::drain_locked() {
     metrics_.record_queue_wait(
         static_cast<double>(admissions_ - head.admissions_at_enqueue));
     head.lease = admit_locked(*head.request, head.bundle_bytes,
-                              &head.request_hit, &head.stage_s, &head.fetched);
+                              &head.t_reserved, &head.request_hit,
+                              &head.fetched);
     ++admissions_;
-    head.t_reserved = Clock::now();
-    grant_times_.emplace(head.lease, head.t_reserved);
     head.state = Waiter::State::Admitted;
     ++admitted;
   }
   if (admitted > 0) {
-    cv_.notify_all();
-    std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
-    hists_[kBatchSize].record(admitted);
+    notify_locked();
+    batch_sizes_.record(admitted);
   }
   return admitted;
 }
@@ -218,29 +222,35 @@ AcquireResult BundleServer::acquire(const Request& request) {
       !request.empty() &&
       std::all_of(request.files.begin(), request.files.end(),
                   [&](FileId id) { return catalog.valid(id); });
+  // Pure per-request work stays outside mu_: the bundle size, and room
+  // for every file the reserve could find missing.
+  const Bytes bundle_bytes = valid ? catalog.request_bytes(request) : 0;
+  Waiter waiter;
+  if (valid) waiter.fetched.reserve(request.size());
 
   std::unique_lock<OrderedMutex> lock(mu_);
-  if (closed_) {
-    result.status = AcquireStatus::Closed;
-    count_outcome("acquire.closed");
+  auto leave_queue = [&] {
+    queue_.erase(std::find(queue_.begin(), queue_.end(), &waiter));
+    notify_locked();
+  };
+  // A rejection counts its outcome after mu_ is released, as a grant does.
+  const auto reject = [&](AcquireStatus status, std::string_view counter) {
+    result.status = status;
+    lock.unlock();
+    count_outcome(counter);
     return result;
-  }
+  };
+  if (closed_) return reject(AcquireStatus::Closed, "acquire.closed");
   if (!valid) {
     ++invalid_;
-    result.status = AcquireStatus::InvalidRequest;
-    count_outcome("acquire.invalid");
-    return result;
+    return reject(AcquireStatus::InvalidRequest, "acquire.invalid");
   }
-  const Bytes bundle_bytes = catalog.request_bytes(request);
   if (bundle_bytes > cache_.capacity()) {
     metrics_.record_unserviceable();
-    result.status = AcquireStatus::Unserviceable;
-    count_outcome("acquire.unserviceable");
-    return result;
+    return reject(AcquireStatus::Unserviceable, "acquire.unserviceable");
   }
   if (queue_.size() >= config_.max_queue) {
     ++rejected_full_;
-    result.status = AcquireStatus::QueueFull;
     // Load-proportional hint: deeper queue, longer suggested wait. The
     // product is computed in 64 bits and saturated at the config cap (and
     // at UINT32_MAX, the wire field's range) -- a large backoff times a
@@ -253,22 +263,17 @@ AcquireResult BundleServer::acquire(const Request& request) {
             ? std::numeric_limits<std::uint32_t>::max()
             : config_.retry_after_cap_ms;
     result.retry_after_ms = static_cast<std::uint32_t>(std::min(hint, cap));
-    count_outcome("acquire.queue_full");
-    return result;
+    return reject(AcquireStatus::QueueFull, "acquire.queue_full");
   }
   const std::size_t queue_depth = queue_.size();
 
-  Waiter waiter;
   waiter.request = &request;
   waiter.bundle_bytes = bundle_bytes;
   waiter.admissions_at_enqueue = admissions_;
   queue_.push_back(&waiter);
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.timeout_ms);
-  auto leave_queue = [&] {
-    queue_.erase(std::find(queue_.begin(), queue_.end(), &waiter));
-    cv_.notify_all();
-  };
+  // The timeout runs from arrival; t0 is that instant, so the deadline
+  // costs no clock read of its own.
+  const auto deadline = t0 + std::chrono::milliseconds(config_.timeout_ms);
 
   // Admission loop. Whichever waiter thread holds mu_ drains the queue
   // (drain_locked) for everyone, so this thread may be admitted while
@@ -279,19 +284,15 @@ AcquireResult BundleServer::acquire(const Request& request) {
     if (waiter.state == Waiter::State::Admitted) break;
     if (closed_) {
       leave_queue();
-      result.status = AcquireStatus::Closed;
-      count_outcome("acquire.closed");
-      return result;
+      return reject(AcquireStatus::Closed, "acquire.closed");
     }
     if (waiter.state == Waiter::State::Backoff) {
       // A drain pass chose this waiter and its transfer draw failed.
       if (waiter.failed_attempts > config_.max_retries) {
         ++transfer_failures_;
         leave_queue();
-        result.status = AcquireStatus::TransferFailed;
         result.retries = waiter.failed_attempts - 1;
-        count_outcome("acquire.transfer_failed");
-        return result;
+        return reject(AcquireStatus::TransferFailed, "acquire.transfer_failed");
       }
       ++transfer_retries_;
       const auto backoff =
@@ -311,30 +312,31 @@ AcquireResult BundleServer::acquire(const Request& request) {
     // notify that happened inside drain_locked is a lost wakeup.
     if (drain_locked() > 0 || waiter.state != Waiter::State::Queued) continue;
     const BlockingRegion parked;
+    ++parked_;
     const auto wait_result = cv_.wait_until(lock, deadline);
+    --parked_;
     if (waiter.state != Waiter::State::Queued) continue;
     if (wait_result == std::cv_status::timeout) {
       leave_queue();
       ++timed_out_;
-      result.status = AcquireStatus::TimedOut;
       result.retries = waiter.failed_attempts;
-      count_outcome("acquire.timed_out");
-      return result;
+      return reject(AcquireStatus::TimedOut, "acquire.timed_out");
     }
   }
 
   result.lease = waiter.lease;
   result.request_hit = waiter.request_hit;
   result.retries = waiter.failed_attempts;
-  const double stage_s = waiter.stage_s;
-  const std::vector<FileId> fetched = std::move(waiter.fetched);
-  const auto t_admit = waiter.t_admit;
-  const auto t_reserved = waiter.t_reserved;
   lock.unlock();
+  // Past this point no other thread touches `waiter`: it left queue_ when
+  // it was admitted.
+  const std::vector<FileId>& fetched = waiter.fetched;
 
   // Fetch phase: the bundle is reserved (pinned), so the simulated
-  // transfer can proceed without the lock while other admissions overlap.
+  // transfer -- its LPT makespan included -- runs without the lock while
+  // other admissions overlap.
   if (!fetched.empty()) {
+    const double stage_s = transfers_.stage_seconds(fetched, *mss_);
     if (config_.time_scale > 0.0 && stage_s > 0.0) {
       const BlockingRegion staging;
       std::this_thread::sleep_for(std::chrono::duration<double>(
@@ -348,13 +350,14 @@ AcquireResult BundleServer::acquire(const Request& request) {
   const CoalesceWait cwait = coalescer_.wait_for(request.files);
   result.status = AcquireStatus::Ok;
 
-  const auto t_end = Clock::now();
+  // Nothing ran since t_fetched unless the coalescer blocked.
+  const auto t_end = cwait.waited_files > 0 ? Clock::now() : t_fetched;
   // Duration histograms are Ok-grants only: their counts tie to
   // stats.requests once in-flight acquires have drained.
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
-  hists_[kQueueUs].record(us_between(t0, t_admit));
-  hists_[kReserveUs].record(us_between(t_admit, t_reserved));
-  hists_[kFetchUs].record(us_between(t_reserved, t_fetched));
+  hists_[kQueueUs].record(us_between(t0, waiter.t_admit));
+  hists_[kReserveUs].record(us_between(waiter.t_admit, waiter.t_reserved));
+  hists_[kFetchUs].record(us_between(waiter.t_reserved, t_fetched));
   hists_[kTotalUs].record(us_between(t0, t_end));
   hists_[kQueueDepth].record(queue_depth);
   if (!fetched.empty()) ++*transfers_slot_;
@@ -370,20 +373,19 @@ bool BundleServer::release(LeaseId lease) {
   std::unique_lock<OrderedMutex> lock(mu_);
   // One mu_ hold drops the lease and its pins together, so audits and
   // admissions never see one without the other.
-  if (!leases_.release(lease, cache_)) {
-    lock.unlock();
+  Clock::time_point granted_at;
+  const bool known = leases_.release(lease, cache_, &granted_at);
+  if (known) {
+    ++released_;
+    notify_locked();
+  }
+  lock.unlock();
+  if (!known) {
     std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
     ++*release_unknown_slot_;
     return false;
   }
-  ++released_;
-  std::uint64_t held_us = 0;
-  if (auto it = grant_times_.find(lease); it != grant_times_.end()) {
-    held_us = us_between(it->second, Clock::now());
-    grant_times_.erase(it);
-  }
-  cv_.notify_all();
-  lock.unlock();
+  const std::uint64_t held_us = us_between(granted_at, Clock::now());
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   ++*release_ok_slot_;
   hists_[kHoldUs].record(held_us);
@@ -412,6 +414,7 @@ constexpr std::array<std::string_view, BundleServer::kHistCount>
 
 MetricsSnapshot BundleServer::metrics() const {
   MetricsSnapshot m;
+  obs::Histogram batch_sizes;
   {
     std::lock_guard<OrderedMutex> lock(mu_);
     ServiceStats& s = m.stats;
@@ -434,6 +437,7 @@ MetricsSnapshot BundleServer::metrics() const {
     s.used_bytes = cache_.used_bytes();
     s.capacity_bytes = cache_.capacity();
     s.resident_files = cache_.file_count();
+    batch_sizes = batch_sizes_;
   }
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   m.counters = counters_.snapshot();
@@ -446,7 +450,8 @@ MetricsSnapshot BundleServer::metrics() const {
                     kHistNames.end(),
                 "kHistNames must be strictly increasing");
   for (std::size_t h = 0; h < kHistCount; ++h)
-    m.histograms.push_back({std::string(kHistNames[h]), hists_[h]});
+    m.histograms.push_back({std::string(kHistNames[h]),
+                            h == kBatchSize ? batch_sizes : hists_[h]});
   return m;
 }
 
@@ -458,9 +463,11 @@ std::vector<std::string> BundleServer::audit() const {
   // Capacity: byte accounting must match a from-scratch recount and never
   // exceed capacity; the resident list must be duplicate-free.
   Bytes recount = 0;
+  Bytes pinned_recount = 0;
   std::unordered_set<FileId> seen;
   for (FileId id : cache_.resident_files()) {
     recount += catalog.size_of(id);
+    if (cache_.pinned(id)) pinned_recount += catalog.size_of(id);
     if (!seen.insert(id).second)
       violations.push_back("serve.capacity: duplicate resident file " +
                            std::to_string(id));
@@ -469,6 +476,12 @@ std::vector<std::string> BundleServer::audit() const {
     violations.push_back(
         "serve.capacity: used_bytes " + std::to_string(cache_.used_bytes()) +
         " != recomputed resident sum " + std::to_string(recount));
+  // fits_locked prices evictable bytes from the running pinned total.
+  if (pinned_recount != cache_.pinned_bytes())
+    violations.push_back("serve.capacity: pinned_bytes " +
+                         std::to_string(cache_.pinned_bytes()) +
+                         " != recomputed pinned sum " +
+                         std::to_string(pinned_recount));
   if (cache_.used_bytes() > cache_.capacity())
     violations.push_back("serve.capacity: used exceeds capacity");
 
@@ -476,8 +489,8 @@ std::vector<std::string> BundleServer::audit() const {
   // file must be covered by at least one live lease. The table is walked
   // in lease-id order, so violations come out sorted by lease id.
   std::unordered_set<FileId> covered;
-  for (const auto& [lease, bundle] : leases_.leases()) {
-    for (FileId id : bundle.files) {
+  for (const auto& [lease, entry] : leases_.leases()) {
+    for (FileId id : entry.bundle.files) {
       covered.insert(id);
       if (!cache_.contains(id))
         violations.push_back("serve.lease: lease " + std::to_string(lease) +

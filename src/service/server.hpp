@@ -59,7 +59,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -234,9 +233,10 @@ class BundleServer : public ServingEndpoint {
     /// be a different thread than the waiter's own) under mu_.
     LeaseId lease = 0;
     bool request_hit = false;
-    double stage_s = 0.0;
     /// Files this admission actually stages (missing at reserve time);
-    /// the coalescer keys in-flight transfers on them.
+    /// the coalescer keys in-flight transfers on them. The owner reserves
+    /// room for the whole bundle before enqueueing, so filling it under
+    /// mu_ never allocates.
     std::vector<FileId> fetched;
     std::uint32_t failed_attempts = 0;
     /// Stage boundary instants stamped by the draining thread so stage
@@ -265,16 +265,25 @@ class BundleServer : public ServingEndpoint {
   // fbc:requires(mu_)
   std::size_t drain_locked();
 
-  /// Evicts victims, inserts missing files, grants the lease and records
-  /// metrics. Returns the simulated staging seconds through `stage_s`.
+  /// Evicts victims, inserts missing files (appended to `*fetched`),
+  /// grants the lease and records metrics. The grant instant, which the
+  /// lease keeps for lease.hold_us, is returned through `granted_at`.
   // fbc:requires(mu_)
   LeaseId admit_locked(const Request& request, Bytes bundle_bytes,
-                       bool* request_hit, double* stage_s,
-                       std::vector<FileId>* fetched);
+                       std::chrono::steady_clock::time_point* granted_at,
+                       bool* request_hit, std::vector<FileId>* fetched);
 
-  /// Counts a rejected acquire under obs_mu_ (the Ok-grant path folds its
-  /// counter bump into the same obs_mu_ section as the duration
-  /// histograms so a grant costs one lock).
+  /// Wakes the threads parked on cv_, if any: notify_all takes the
+  /// condition variable's own internal mutex, so an empty wake is skipped.
+  // fbc:requires(mu_)
+  void notify_locked() {
+    if (parked_ > 0) cv_.notify_all();
+  }
+
+  /// Counts a rejected acquire under obs_mu_, called after mu_ is
+  /// released (the Ok-grant path folds its counter bump into the same
+  /// obs_mu_ section as the duration histograms so a grant costs one
+  /// lock).
   void count_outcome(std::string_view counter);
 
   ServiceConfig config_;
@@ -284,9 +293,9 @@ class BundleServer : public ServingEndpoint {
   // Admission lock (level 10 in the docs/SERVING.md lock hierarchy).
   // fbc:lock-level(10)
   // fbc:guards(cache_, policy_, metrics_, leases_, fail_rng_, queue_)
-  // fbc:guards(admissions_)
+  // fbc:guards(admissions_, parked_, batch_sizes_)
   // fbc:guards(rejected_full_, timed_out_, invalid_, transfer_retries_)
-  // fbc:guards(transfer_failures_, released_, closed_, paused_, grant_times_)
+  // fbc:guards(transfer_failures_, released_, closed_, paused_)
   mutable OrderedMutex mu_{10, "BundleServer::mu_"};
   std::condition_variable_any cv_;
   DiskCache cache_;
@@ -305,10 +314,12 @@ class BundleServer : public ServingEndpoint {
   std::uint64_t released_ = 0;
   bool closed_ = false;
   bool paused_ = false;  ///< test hook: freeze drain passes (see setter)
-  /// Grant instant of each live lease, for the lease.hold_us histogram.
-  /// Guarded by mu_; lookups only (fbclint L005: never iterated).
-  std::unordered_map<LeaseId, std::chrono::steady_clock::time_point>
-      grant_times_;
+  /// Acquires currently inside cv_.wait_until (see notify_locked).
+  std::size_t parked_ = 0;
+  /// admit.batch_size: admissions per non-empty drain pass. Recorded
+  /// where the pass runs, so it lives under mu_ and its sum ties to
+  /// stats.requests in every snapshot.
+  obs::Histogram batch_sizes_;
 
   /// Observability state. Guarded by obs_mu_, which is always acquired
   /// *after* mu_ (never the reverse -- level 40 vs 10) and held only for
@@ -320,8 +331,10 @@ class BundleServer : public ServingEndpoint {
   mutable OrderedMutex obs_mu_{40, "BundleServer::obs_mu_"};
   obs::CounterRegistry counters_;  ///< acquire.* / release.* outcomes
   /// The exported histograms: metrics() sends hists_[h] as kHistNames[h]
-  /// (defined in server.cpp). The MetricsReply encoder needs the names
-  /// strictly increasing, so the enumerators follow their names' order.
+  /// (defined in server.cpp), except kBatchSize, which it sends from
+  /// batch_sizes_ (hists_[kBatchSize] stays empty). The MetricsReply
+  /// encoder needs the names strictly increasing, so the enumerators
+  /// follow their names' order.
   enum Hist : std::size_t {
     kCoalesceUs,  ///< blocked on an overlapping transfer
     kFetchUs,     ///< reserve -> bundle resident

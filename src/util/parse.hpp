@@ -44,6 +44,18 @@ std::vector<T> parse_list(const std::string& list, std::string_view what) {
   return values;
 }
 
+/// One TCP port ("7401"): a whole value in 0..65535, where 0 asks the
+/// kernel for an ephemeral port. Throws std::invalid_argument naming
+/// `what` for anything else ("70000", "-1", "80x").
+inline std::uint16_t parse_port(const std::string& text,
+                                std::string_view what) {
+  const std::optional<std::uint16_t> port = parse_whole<std::uint16_t>(text);
+  if (!port)
+    throw std::invalid_argument(std::string(what) + ": bad value '" +
+                                text + "'");
+  return *port;
+}
+
 /// parse_list of TCP ports ("7401,7411"): each in 1..65535.
 inline std::vector<std::uint16_t> parse_port_list(const std::string& list,
                                                   std::string_view what) {

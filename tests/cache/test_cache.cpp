@@ -94,6 +94,24 @@ TEST(DiskCache, PinIsCounted) {
   EXPECT_FALSE(cache.pinned(0));
 }
 
+TEST(DiskCache, PinnedBytesCountEachPinnedFileOnce) {
+  FileCatalog catalog = small_catalog();
+  DiskCache cache(1000, catalog);
+  cache.insert(0);
+  cache.insert(2);
+  EXPECT_EQ(cache.pinned_bytes(), 0u);
+  cache.pin(0);
+  cache.pin(0);  // a second pin on the same file adds no bytes
+  cache.pin(2);
+  EXPECT_EQ(cache.pinned_bytes(), 400u);
+  cache.unpin(0);
+  EXPECT_EQ(cache.pinned_bytes(), 400u);
+  cache.unpin(0);
+  EXPECT_EQ(cache.pinned_bytes(), 300u);
+  cache.unpin(2);
+  EXPECT_EQ(cache.pinned_bytes(), 0u);
+}
+
 TEST(DiskCache, MissingFilesAndSupports) {
   FileCatalog catalog = small_catalog();
   DiskCache cache(1000, catalog);
@@ -132,8 +150,8 @@ TEST(DiskCache, ClearSparesPinned) {
   EXPECT_EQ(cache.used_bytes(), 200u);
 }
 
-// Randomized invariant sweep: arbitrary insert/evict sequences keep byte
-// accounting and the resident list consistent.
+// Randomized invariant sweep: arbitrary insert/evict/pin/unpin sequences
+// keep byte accounting and the resident list consistent.
 class DiskCacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DiskCacheProperty, RandomOpsPreserveInvariants) {
@@ -144,17 +162,28 @@ TEST_P(DiskCacheProperty, RandomOpsPreserveInvariants) {
 
   for (int step = 0; step < 2000; ++step) {
     const FileId id = static_cast<FileId>(rng.index(catalog.count()));
-    if (rng.bernoulli(0.5)) {
+    const double op = rng.uniform_double();
+    if (op < 0.4) {
       if (catalog.size_of(id) <= cache.free_bytes()) {
         cache.insert(id);
       }
-    } else {
-      cache.evict(id);
+    } else if (op < 0.8) {
+      if (!cache.pinned(id)) cache.evict(id);
+    } else if (op < 0.9) {
+      if (cache.contains(id)) cache.pin(id);
+    } else if (cache.pinned(id)) {
+      cache.unpin(id);
     }
-    // Invariant: used == sum of resident sizes, count matches view size.
+    // Invariant: used == sum of resident sizes, count matches view size,
+    // pinned_bytes == sum of pinned sizes.
     Bytes expected = 0;
-    for (FileId f : cache.resident_files()) expected += catalog.size_of(f);
+    Bytes pinned = 0;
+    for (FileId f : cache.resident_files()) {
+      expected += catalog.size_of(f);
+      if (cache.pinned(f)) pinned += catalog.size_of(f);
+    }
     ASSERT_EQ(cache.used_bytes(), expected);
+    ASSERT_EQ(cache.pinned_bytes(), pinned);
     ASSERT_EQ(cache.file_count(), cache.resident_files().size());
     ASSERT_LE(cache.used_bytes(), cache.capacity());
     // Membership view agrees with contains().

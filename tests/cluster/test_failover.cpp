@@ -7,7 +7,10 @@
 // FaultInjectionShard test double itself.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "cluster/router.hpp"
@@ -312,6 +315,72 @@ TEST(Failover, RecoveredShardServesAgainWithoutRerouting) {
   EXPECT_EQ(counter(cluster.router->metrics(), "grid.acquire.rerouted"),
             rerouted_before);
   EXPECT_TRUE(cluster.router->release(after.lease));
+}
+
+TEST(Failover, KillReviveChurnUnderConcurrentTrafficLeavesNothingBehind) {
+  // The router skips route_mu_ while no shard is troubled. Here one
+  // shard flips between killed and alive while 4 threads acquire and
+  // release, so the troubled flag is set and cleared under live traffic;
+  // afterwards no release may be lost, no scatter lease left and no pin
+  // leaked, and every down mark must have a matching recovery.
+  ClusterConfig config = faulty_config(4, PlacementMode::HashFile);
+  config.probe_ms = 0;  // a down shard is probed by every request
+  constexpr std::size_t kFiles = 64;
+  ServiceConfig service = small_service();
+  service.cache_bytes = 4000;
+  FaultyCluster cluster = make_cluster(config, kFiles, service);
+  constexpr std::size_t kVictim = 1;
+
+  // Each cycle kills the shard, waits until traffic has marked it down,
+  // and revives it; the first kill lands before any client starts, so
+  // the run sees at least one down mark.
+  std::atomic<bool> running{true};
+  cluster.kill(kVictim);
+  std::thread chaos([&] {
+    while (running.load(std::memory_order_acquire)) {
+      while (!cluster.router->shard_down(kVictim) &&
+             running.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      cluster.revive(kVictim);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      cluster.kill(kVictim);
+    }
+  });
+  std::atomic<std::uint64_t> granted{0};
+  std::vector<std::thread> clients;
+  for (std::uint32_t t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      std::uint32_t x = t * 2654435761U + 7;
+      for (int i = 0; i < 1500; ++i) {
+        x = x * 1664525U + 1013904223U;
+        std::vector<FileId> files{static_cast<FileId>((x >> 8) % kFiles)};
+        if ((x >> 20) % 3 == 0)  // some bundles span two shards
+          files.push_back(static_cast<FileId>((x >> 12) % kFiles));
+        const AcquireResult r = cluster.router->acquire(Request(files));
+        ASSERT_EQ(r.status, AcquireStatus::Ok) << to_string(r.status);
+        granted.fetch_add(1, std::memory_order_relaxed);
+        EXPECT_TRUE(cluster.router->release(r.lease));
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  running.store(false, std::memory_order_release);
+  chaos.join();
+
+  cluster.revive(kVictim);
+  ASSERT_TRUE(cluster.router->probe(kVictim));
+  EXPECT_FALSE(cluster.router->shard_down(kVictim));
+  EXPECT_EQ(cluster.router->pending_releases(), 0u);
+  EXPECT_EQ(cluster.router->scatter_leases(), 0u);
+  for (std::size_t s = 0; s < cluster.servers.size(); ++s) {
+    EXPECT_TRUE(cluster.server(s).audit().empty()) << "shard " << s;
+    EXPECT_EQ(cluster.server(s).metrics().stats.active_leases, 0u)
+        << "shard " << s;
+  }
+  const service::MetricsSnapshot m = cluster.router->metrics();
+  EXPECT_GT(counter(m, "grid.shard.down"), 0u);
+  EXPECT_EQ(counter(m, "grid.shard.down"), counter(m, "grid.shard.recovered"));
+  EXPECT_EQ(granted.load(), 4u * 1500u);
 }
 
 }  // namespace

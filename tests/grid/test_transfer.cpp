@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <span>
+#include <vector>
+
 #include "grid/mss.hpp"
 #include "grid/replica.hpp"
 
@@ -126,6 +133,44 @@ TEST(Transfer, ReplicationShortensBundleStaging) {
   EXPECT_LT(after, before);
   // All three replicated fetches beat even one WAN fetch.
   EXPECT_LT(after, sites[0].tier.fetch_seconds(100 * MiB));
+}
+
+TEST(Transfer, MatchesPriorityQueueLptBitForBit) {
+  // stage_seconds reuses per-thread scratch and a heap over it; it must
+  // return exactly what a fresh sort plus std::priority_queue LPT does,
+  // whatever bundle and stream count came before it on the thread.
+  const auto reference = [](std::span<const FileId> files,
+                            const StorageBackend& mss, std::size_t streams) {
+    std::vector<double> durations;
+    for (FileId id : files) durations.push_back(mss.fetch_seconds(id));
+    std::sort(durations.begin(), durations.end(), std::greater<>());
+    std::priority_queue<double, std::vector<double>, std::greater<>> loads;
+    for (std::size_t s = 0; s < std::max<std::size_t>(1, streams); ++s)
+      loads.push(0.0);
+    double makespan = 0.0;
+    for (double d : durations) {
+      const double load = loads.top() + d;
+      loads.pop();
+      loads.push(load);
+      makespan = std::max(makespan, load);
+    }
+    return makespan;
+  };
+  FileCatalog catalog;
+  for (Bytes i = 0; i < 40; ++i) catalog.add_file(1 + (i * 7919) % 1000);
+  MassStorageSystem mss(default_tiers(), catalog);
+  for (FileId id = 0; id < 40; id += 3) mss.place_file(id, 1);
+  std::uint32_t x = 12345;
+  for (int trial = 0; trial < 200; ++trial) {
+    x = x * 1664525U + 1013904223U;
+    std::vector<FileId> files;
+    for (FileId id = 0; id < 40; ++id)
+      if (((x >> (id % 24)) & 3U) == 0) files.push_back(id);
+    const std::size_t streams = (x >> 26) % 7;
+    const TransferModel model{.max_parallel = streams};
+    EXPECT_EQ(model.stage_seconds(files, mss), reference(files, mss, streams))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -678,6 +679,94 @@ TEST(BundleServer, SerialAdmissionBatchRecordsSingletonPasses) {
   EXPECT_EQ(batch->max(), 1u);
   EXPECT_EQ(batch->sum(), m.stats.requests);
   EXPECT_EQ(batch->count(), 3u);
+}
+
+TEST(BundleServer, ParkedAcquiresWakeOnReleaseAndClose) {
+  // The server notifies its condition variable only while a thread is
+  // parked on it. Each waiter below is given time to park before the
+  // call that must wake it; a missed wake would show as a timeout.
+  FileCatalog catalog({600, 600, 600});
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 1000;
+  config.timeout_ms = 20000;
+  BundleServer server(config, mss);
+
+  const AcquireResult held = server.acquire(Request({0}));
+  ASSERT_EQ(held.status, AcquireStatus::Ok);
+  // {1} needs 600 bytes; the lease on {0} pins all but 400 of them.
+  auto on_pinned = std::async(std::launch::async, [&server] {
+    return server.acquire(Request({1}));
+  });
+  wait_for_queue_depth(server, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto released_at = std::chrono::steady_clock::now();
+  ASSERT_TRUE(server.release(held.lease));
+  const AcquireResult woken = on_pinned.get();
+  EXPECT_EQ(woken.status, AcquireStatus::Ok);
+  EXPECT_LT(std::chrono::steady_clock::now() - released_at,
+            std::chrono::seconds(10));
+
+  // Now {1} is leased, and {2} parks behind it until close().
+  auto parked = std::async(std::launch::async, [&server] {
+    return server.acquire(Request({2}));
+  });
+  wait_for_queue_depth(server, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  server.close();
+  EXPECT_EQ(parked.get().status, AcquireStatus::Closed);
+  EXPECT_TRUE(server.release(woken.lease));
+  EXPECT_EQ(server.stats().timed_out, 0u);
+  EXPECT_TRUE(server.audit().empty());
+}
+
+TEST(BundleServer, BatchSizeSumTiesToRequestsUnderConcurrency) {
+  // admit.batch_size is recorded under the admission lock, in the same
+  // hold that counts the grants, so every snapshot ties exactly -- also
+  // one taken mid-run.
+  FileCatalog catalog = sized_catalog(12);
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 4000;
+  BundleServer server(config, mss);
+
+  const auto batch_sum = [](const MetricsSnapshot& m) -> std::uint64_t {
+    for (const auto& named : m.histograms)
+      if (named.name == "admit.batch_size") return named.hist.sum();
+    ADD_FAILURE() << "admit.batch_size missing";
+    return 0;
+  };
+  std::atomic<bool> running{true};
+  std::atomic<std::uint64_t> granted{0};
+  std::vector<std::thread> clients;
+  for (std::uint32_t t = 0; t < 8; ++t) {
+    clients.emplace_back([&, t] {
+      std::uint32_t x = t * 2654435761U + 1;
+      for (int i = 0; i < 400; ++i) {
+        x = x * 1664525U + 1013904223U;
+        const auto first = static_cast<FileId>((x >> 8) % 12);
+        const auto second = static_cast<FileId>((x >> 16) % 12);
+        const AcquireResult r = server.acquire(Request({first, second}));
+        if (r.status != AcquireStatus::Ok) continue;
+        granted.fetch_add(1, std::memory_order_relaxed);
+        EXPECT_TRUE(server.release(r.lease));
+      }
+    });
+  }
+  std::thread observer([&] {
+    while (running.load(std::memory_order_acquire)) {
+      const MetricsSnapshot m = server.metrics();
+      EXPECT_EQ(batch_sum(m), m.stats.requests);
+    }
+  });
+  for (std::thread& client : clients) client.join();
+  running.store(false, std::memory_order_release);
+  observer.join();
+
+  const MetricsSnapshot m = server.metrics();
+  EXPECT_EQ(m.stats.requests, granted.load());
+  EXPECT_EQ(batch_sum(m), m.stats.requests);
+  EXPECT_TRUE(server.audit().empty());
 }
 
 TEST(BundleServer, ResidentFilesSnapshotIsSortedAndMatchesStats) {

@@ -172,5 +172,24 @@ TEST(ParseList, RejectsPortZero) {
   }
 }
 
+TEST(ParsePort, AcceptsTheWholeRangeIncludingEphemeralZero) {
+  EXPECT_EQ(parse_port("0", "--port"), 0u);
+  EXPECT_EQ(parse_port("7401", "--port"), 7401u);
+  EXPECT_EQ(parse_port("65535", "--port"), 65535u);
+}
+
+TEST(ParsePort, RejectsOutOfRangeAndNegativeNamingTheFlag) {
+  // 70000 used to wrap to 4464 through a uint16_t cast.
+  for (const char* text : {"70000", "-1", "65536", "80x", ""}) {
+    try {
+      (void)parse_port(text, "--port");
+      ADD_FAILURE() << "accepted '" << text << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--port"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fbc

@@ -18,6 +18,7 @@
 #include "serving_common.hpp"
 #include "service/daemon.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 using namespace fbc;
 
@@ -41,6 +42,7 @@ int main(int argc, char** argv) {
 
   try {
     cli.parse(argc, argv);
+    const std::uint16_t port = parse_port(cli.get_string("port"), "--port");
     const service::ServiceConfig config = tools::service_config_from_cli(cli);
     const Workload workload =
         tools::build_scenario_workload(cli, config.cache_bytes);
@@ -48,9 +50,7 @@ int main(int argc, char** argv) {
     place_tier_mix(mss, cli.get_string("tier-mix"), cli.get_u64("wseed"));
 
     service::BundleServer server(config, mss);
-    service::BundleDaemon daemon(
-        server, static_cast<std::uint16_t>(cli.get_u64("port")),
-        cli.get_u64("workers"));
+    service::BundleDaemon daemon(server, port, cli.get_u64("workers"));
     // Parseable startup line; fbcload's --inline-free remote mode and the
     // CI smoke script scrape the port from it.
     std::cout << "fbcd: listening on 127.0.0.1:" << daemon.port()

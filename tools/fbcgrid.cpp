@@ -85,6 +85,7 @@ int main(int argc, char** argv) {
   std::vector<tools::ShardProcess> fleet;
   try {
     cli.parse(argc, argv);
+    const std::uint16_t port = parse_port(cli.get_string("port"), "--port");
     const service::ServiceConfig service_config =
         tools::service_config_from_cli(cli);
     cluster::ClusterConfig cluster_config =
@@ -143,9 +144,7 @@ int main(int argc, char** argv) {
       router = stack.router.get();
     }
 
-    service::BundleDaemon daemon(
-        *router, static_cast<std::uint16_t>(cli.get_u64("port")),
-        cli.get_u64("workers"));
+    service::BundleDaemon daemon(*router, port, cli.get_u64("workers"));
     // Parseable startup line (CI smoke scrapes the port).
     std::cout << "fbcgrid: listening on 127.0.0.1:" << daemon.port()
               << " shards=" << cluster_config.shards
@@ -169,8 +168,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    daemon.stop();
+    // Snapshot first: stop() closes the router and with it every shard,
+    // and a closed RemoteShard answers nothing.
     const service::MetricsSnapshot metrics = router->metrics();
+    daemon.stop();
     std::uint64_t single = 0;
     std::uint64_t scatter = 0;
     std::uint64_t rollback = 0;

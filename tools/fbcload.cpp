@@ -36,6 +36,7 @@
 #include "obs/histogram.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -384,7 +385,7 @@ int main(int argc, char** argv) {
     tools::ClusterStack cluster_stack;
     std::unique_ptr<service::BundleDaemon> daemon;
     service::ServingEndpoint* endpoint = nullptr;  // --inline's server
-    std::uint16_t port = static_cast<std::uint16_t>(cli.get_u64("port"));
+    std::uint16_t port = parse_port(cli.get_string("port"), "--port");
     if (cli.get_flag("inline")) {
       if (cli.get_flag("cluster")) {
         const cluster::ClusterConfig cluster_config =
